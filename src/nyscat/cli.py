@@ -442,9 +442,12 @@ def _thread_limit(cfg: RunConfig):
         return contextlib.nullcontext()
     try:
         from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=cfg.threads)
     except ImportError:
+        print(f"warning: run.threads = {cfg.threads} not applied: threadpoolctl "
+              "is not installed, so BLAS keeps its default thread count",
+              file=sys.stderr)
         return contextlib.nullcontext()
+    return threadpool_limits(limits=cfg.threads)
 
 
 def main(argv=None) -> int:

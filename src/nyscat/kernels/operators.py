@@ -14,6 +14,14 @@ targets in a middle annulus integrate an oversampled interpolant, and
 everything else uses the plain tensor rule.  The scalar potential's outer
 gradient acts on surface samples only (spectral tangential gradient), so no
 strongly singular kernel ever appears.
+
+Fan and oversampled rows are shared across congruent patches.  A row depends
+only on what a rigid motion preserves (distances to the patch, its surface
+measure and its cardinal basis), so during one build patches are grouped into
+classes of proper congruence and each row is computed once per distinct
+(zone, class, target position in the patch's own frame).  Gradient rows are
+stored in the patch frame and rotated back for each use.  On-patch rows are
+still computed per patch.
 """
 
 from __future__ import annotations
@@ -46,6 +54,12 @@ OPEN = "open-no-continuity"
 
 _CHUNK = 256  # target rows per dense-assembly block
 _COINCIDENT = 1e-14  # below this separation a pair counts as the same point
+_CONGRUENT = 1e-12  # shape and position match, relative to the patch diameter
+_BUCKET = 1e-8  # key resolution of patch-frame target positions, same unit
+# parameter points no symmetry of the square maps onto themselves, so two
+# patches agreeing on them (and on their nodes) share one parametrization
+_PROBE_UV = np.array([[0.31, -0.74], [-0.58, 0.23], [0.87, 0.46],
+                      [-0.12, -0.93], [0.64, 0.81]])
 
 
 @dataclass(frozen=True)
@@ -193,6 +207,88 @@ def _oversample_rows(pdat: _PatchData, kernel, n: int, nodes, config: OperatorCo
     return prev
 
 
+class _CongruentRows:
+    """Fan and oversampled rows shared across congruent patches.
+
+    Each patch gets a rigid frame: origin x(0,0) and axes a_u, a_v
+    orthogonalised against a_u, and their cross product.  Patches whose
+    diameters, node clouds and probe points agree in their own frames to
+    _CONGRUENT x diameter form one class; the frames are right-handed, so a
+    mirror image forms its own class.  A row is keyed by zone, class and the
+    target's patch-frame position bucketed at _BUCKET x diameter, and a hit
+    also needs the stored position within _CONGRUENT x diameter.  Vector rows
+    (kernel gradients) are stored in the patch frame and rotated back on use.
+    A table lives for one build only.
+    """
+
+    def __init__(self, pdata, nodes, diameters, k, config: OperatorConfig):
+        self.pdata, self.nodes, self.diameters = pdata, nodes, diameters
+        self.k, self.config = k, config
+        m = len(pdata)
+        self.origin = np.empty((m, 3))
+        self.rot = np.empty((m, 3, 3))  # rows: the frame axes
+        self.cls = np.empty(m, dtype=np.int64)
+        self.scale = np.empty(m)  # diameter of the class representative
+        reps = []  # (diameter, patch-frame cloud) per class
+        uv = np.vstack([[0.0, 0.0], _PROBE_UV])
+        for p, d in enumerate(pdata):
+            fr = d.patch.frames(uv[:, 0], uv[:, 1])
+            e1 = fr.a_u[0] / np.linalg.norm(fr.a_u[0])
+            e2 = fr.a_v[0] - (fr.a_v[0] @ e1) * e1
+            e2 /= np.linalg.norm(e2)
+            rot = np.stack([e1, e2, np.cross(e1, e2)])
+            local = (np.concatenate([d.point, fr.point[1:]]) - fr.point[0]) @ rot.T
+            tol = _CONGRUENT * diameters[p]
+            for c, (dc, lc) in enumerate(reps):
+                if abs(dc - diameters[p]) <= tol and np.abs(local - lc).max() <= tol:
+                    break
+            else:
+                c = len(reps)
+                reps.append((diameters[p], local))
+            self.origin[p], self.rot[p] = fr.point[0], rot
+            self.cls[p], self.scale[p] = c, reps[c][0]
+        self.n_classes = len(reps)
+        self.table = {}
+        self.requested = {"fan": 0, "mid": 0}
+        self.computed = {"fan": 0, "mid": 0}
+
+    def row(self, zone: str, x_t, p: int, kernel):
+        """Weights of kernel(x_t, y, k) times the cardinal basis over patch p.
+
+        zone is "fan" (fan rule around the nearest preimage) or "mid"
+        (oversampled interpolant); kernel is green or green_gradient.
+        """
+        rot, scale = self.rot[p], self.scale[p]
+        local = rot @ (x_t - self.origin[p])
+        cell = np.rint(local / (_BUCKET * scale)).astype(np.int64)
+        key = (zone, int(self.cls[p]), *cell.tolist())
+        self.requested[zone] += 1
+        hit = self.table.get(key)
+        if hit is not None and np.abs(hit[0] - local).max() <= _CONGRUENT * scale:
+            return hit[1] @ rot if hit[1].ndim == 2 else hit[1]
+        d, k, cfg = self.pdata[p], self.k, self.config
+        if zone == "fan":
+            u0, v0, dist = nearest_preimage(d.patch, x_t)
+            row = weights_on_patch(d.patch, self.nodes,
+                                   lambda pts, nrm: kernel(x_t, pts, k), (u0, v0),
+                                   tol=cfg.quad_tol, peak=dist / (0.5 * self.diameters[p]))
+        else:
+            row = _oversample_rows(d, lambda pts, nrm: kernel(x_t, pts, k),
+                                   len(self.nodes), self.nodes, cfg)
+        self.computed[zone] += 1
+        if hit is None:
+            self.table[key] = (local, row @ rot.T if row.ndim == 2 else row)
+        return row
+
+    def stats(self, onpatch_rows: int) -> dict:
+        """Build counters: congruence classes and rows requested and computed."""
+        out = {"classes": self.n_classes, "onpatch_rows": onpatch_rows}
+        for zone in ("fan", "mid"):
+            out[f"{zone}_rows"] = self.requested[zone]
+            out[f"{zone}_rows_computed"] = self.computed[zone]
+        return out
+
+
 def _base_scalar_matrix(targets, src_points, src_wjac, k) -> np.ndarray:
     """Plain-rule single-layer matrix with coincident entries zeroed."""
     out = np.empty((targets.shape[0], src_points.shape[0]), dtype=complex)
@@ -208,32 +304,24 @@ def _base_scalar_matrix(targets, src_points, src_wjac, k) -> np.ndarray:
     return out
 
 
-def _layer_matrix(targets, pdata, nodes, diameters, k, on_pairs, corrections,
-                  config: OperatorConfig) -> np.ndarray:
+def _layer_matrix(targets, table: _CongruentRows, on_pairs, corrections) -> np.ndarray:
     """Dense single-layer matrix: plain rule plus zone corrections."""
+    pdata, nodes = table.pdata, table.nodes
     n = len(nodes)
     s = n * n
-    kind = corrections[0].kind
-    w1 = _grid_nodes(n, kind)[1]
+    w1 = _grid_nodes(n, corrections[0].kind)[1]
     w2 = np.outer(w1, w1).ravel()
     src_points = np.concatenate([d.point for d in pdata])
     src_wjac = np.concatenate([w2 * d.jac for d in pdata])
-    mat = _base_scalar_matrix(targets, src_points, src_wjac, k)
+    mat = _base_scalar_matrix(targets, src_points, src_wjac, table.k)
     on_sets = [set() for _ in range(targets.shape[0])]
     for t, p, node in on_pairs:
         mat[t, p * s:(p + 1) * s] = corrections[p].weights[node]
         on_sets[t].add(p)
-    fan_pairs, mid_pairs = _zone_pairs(targets, pdata, diameters, n, config, on_sets)
-    for t, p in fan_pairs:
-        x_t = targets[t]
-        u0, v0, dist = nearest_preimage(pdata[p].patch, x_t)
-        mat[t, p * s:(p + 1) * s] = weights_on_patch(
-            pdata[p].patch, nodes, lambda pts, nrm: green(x_t, pts, k),
-            (u0, v0), tol=config.quad_tol, peak=dist / (0.5 * diameters[p]))
-    for t, p in mid_pairs:
-        x_t = targets[t]
-        mat[t, p * s:(p + 1) * s] = _oversample_rows(
-            pdata[p], lambda pts, nrm: green(x_t, pts, k), n, nodes, config)
+    zones = _zone_pairs(targets, pdata, table.diameters, n, table.config, on_sets)
+    for zone, pairs in zip(("fan", "mid"), zones):
+        for t, p in pairs:
+            mat[t, p * s:(p + 1) * s] = table.row(zone, targets[t], p, green)
     return mat
 
 
@@ -265,8 +353,8 @@ def single_layer(sources, targets, surface: Surface, corrections,
         hits = np.nonzero(dist < 1e-9 * diameters[p])
         on_pairs.extend((int(t), p, int(node)) for t, node in zip(*hits))
     cfg = config or OperatorConfig(variant=CLOSED if kind == "closed" else OPEN)
-    mat = _layer_matrix(targets, pdata, nodes, diameters, k, on_pairs,
-                        corrections, cfg)
+    table = _CongruentRows(pdata, nodes, diameters, k, cfg)
+    mat = _layer_matrix(targets, table, on_pairs, corrections)
     out = mat @ dens.reshape(surface.n_patches * n * n, -1)
     return out[:, 0] if dens.ndim == 3 else out
 
@@ -425,9 +513,10 @@ class EfieOperator:
             for pid, p in enumerate(surface.patches)
         ]
         g = self.grid
-        self.S = _layer_matrix(g.target_points, g.data, g.nodes, g.diameters,
-                               self.k, g.on_patch_pairs(), self.corrections,
-                               self.config)
+        table = _CongruentRows(g.data, g.nodes, g.diameters, self.k, self.config)
+        self.S = _layer_matrix(g.target_points, table, g.on_patch_pairs(),
+                               self.corrections)
+        self.build_stats = table.stats(surface.n_patches * n * n)
 
     @property
     def n_unknowns(self) -> int:
@@ -506,8 +595,10 @@ class MfieOperator:
         g, k, cfg = self.grid, self.k, self.config
         n = g.n
         s = n * n
-        fan_pairs, mid_pairs = _zone_pairs(g.target_points, g.data, g.diameters,
-                                           n, cfg, g.on_patch_sets())
+        on_pairs = g.on_patch_pairs()
+        zones = _zone_pairs(g.target_points, g.data, g.diameters, n, cfg,
+                            g.on_patch_sets())
+        table = _CongruentRows(g.data, g.nodes, g.diameters, k, cfg)
         rows, cols, vals_g, vals_k = [], [], [], []
 
         def push(t, p, wg, wk):
@@ -516,7 +607,7 @@ class MfieOperator:
             vals_g.append(wg)
             vals_k.append(wk)
 
-        for t, p, node in g.on_patch_pairs():
+        for t, p, node in on_pairs:
             x_t = g.target_points[t]
             n_t = self._tnormals[t]
             apex = (float(g.nodes[node // n]), float(g.nodes[node % n]))
@@ -532,20 +623,11 @@ class MfieOperator:
                                   tol=cfg.quad_tol,
                                   zero_entries=((node, 0), (node, 1), (node, 2)))
             push(t, p, np.ascontiguousarray(w4[:, :3]), w4[:, 3].copy())
-        for t, p in fan_pairs:
-            x_t = g.target_points[t]
-            u0, v0, dist = nearest_preimage(g.data[p].patch, x_t)
-            wg = weights_on_patch(g.data[p].patch, g.nodes,
-                                  lambda pts, nrm: green_gradient(x_t, pts, k),
-                                  (u0, v0), tol=cfg.quad_tol,
-                                  peak=dist / (0.5 * g.diameters[p]))
-            push(t, p, wg, wg @ self._tnormals[t])
-        for t, p in mid_pairs:
-            x_t = g.target_points[t]
-            wg = _oversample_rows(g.data[p],
-                                  lambda pts, nrm: green_gradient(x_t, pts, k),
-                                  n, g.nodes, cfg)
-            push(t, p, wg, wg @ self._tnormals[t])
+        for zone, pairs in zip(("fan", "mid"), zones):
+            for t, p in pairs:
+                wg = table.row(zone, g.target_points[t], p, green_gradient)
+                push(t, p, wg, wg @ self._tnormals[t])
+        self.build_stats = table.stats(len(on_pairs))
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         vals_g = np.concatenate(vals_g) if len(vals_g) else np.zeros((0, 3), dtype=complex)

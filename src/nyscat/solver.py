@@ -39,8 +39,10 @@ def gmres(apply, rhs, tol: float, restart: int = 200,
     Args:
         apply: linear map on complex vectors of len(rhs).
         tol: target for ||apply(x) - rhs|| / ||rhs||.
-        restart: Arnoldi cycle length (200 is effectively unrestarted at the
-            problem sizes used here).
+        restart: Arnoldi cycle length.  The default can stall: on the
+            rounded cube with edge 1, r=0.1, wavelength 1 and n=4 the closed
+            EFIE with restart=200 stops at a relative residual of 6.7e-3.
+            Pass restart=max_iter for an unrestarted solve.
         max_iter: total inner-iteration budget across cycles; on exhaustion
             the best iterate is returned with converged=False.
 

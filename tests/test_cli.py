@@ -1,6 +1,7 @@
 """Command-line front end: verbs, outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -300,3 +301,31 @@ kind = sphere
 directory = /proc/nonexistent/out
 """)
     assert cli.main(["export", cfg]) == 3
+
+
+def test_threads_without_threadpoolctl_warns_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    outputs = []
+    for name, threads in (("a", "threads = 1"), ("b", "")):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"""
+[geometry]
+kind = sphere
+
+[run]
+{threads}
+
+[output]
+directory = {out}
+export_n = 4
+""", f"{name}.ini")
+        assert cli.main(["export", cfg]) == 0
+        outputs.append((out / "surface.txt").read_bytes())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if threads:
+            assert captured.err.count("warning:") == 1
+            assert "run.threads" in captured.err
+        else:
+            assert captured.err == ""
+    assert outputs[0] == outputs[1]

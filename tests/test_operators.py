@@ -4,17 +4,29 @@ from scipy.integrate import quad_vec
 from scipy.spatial.transform import Rotation
 
 from nyscat import physics, spectral, topology
-from nyscat.geometry import MediumParams, Surface, make_sphere
-from nyscat.geometry.patches import PlanePatch, TransformedPatch
+from nyscat.geometry import (
+    MediumParams,
+    Surface,
+    make_dipole,
+    make_rounded_box,
+    make_rounded_cube,
+    make_sphere,
+)
+from nyscat.geometry.patches import GnomonicSpherePatch, PlanePatch, TransformedPatch
 from nyscat.geometry.surfaces import edge_uv
 from nyscat.kernels.green import green, green_gradient
+from nyscat.kernels.singular import nearest_preimage, weights_on_patch
 from nyscat.kernels.operators import (
     CLOSED,
     OPEN,
     EfieOperator,
     MfieOperator,
     OperatorConfig,
+    _CongruentRows,
     _Grid,
+    _oversample_rows,
+    _patch_data,
+    _zone_pairs,
     efie_forward,
     efie_forward_open,
     mfie_forward,
@@ -479,3 +491,105 @@ def test_mfie_materialized_matches_chunked(sphere, medium):
     x = rng.standard_normal(dense.n_unknowns) + 1j * rng.standard_normal(dense.n_unknowns)
     a, b = dense.apply(x), chunked.apply(x)
     assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
+
+# ---------------------------------------------------------------------------
+# congruence reuse of fan and oversampled rows
+
+
+def _classes(surface, n=4):
+    nodes = spectral.cc_nodes(n)
+    table = _CongruentRows(_patch_data(surface, nodes), nodes,
+                           surface.patch_diameters(), K0, OperatorConfig())
+    return table.cls
+
+
+def test_congruence_class_counts():
+    assert len(set(_classes(make_sphere(2.0)))) == 1
+    assert len(set(_classes(make_rounded_cube(1.0, 0.1)))) == 3
+    assert len(set(_classes(make_dipole()))) == 6
+    patches, roles, labels = make_rounded_box((1.0, 1.0, 1.2), 0.1)
+    cls = _classes(Surface.assemble(patches, roles, labels))
+    assert len(set(cls)) > 3
+    square = {cls[i] for i, lab in enumerate(labels) if lab in ("face+z", "face-z")}
+    stretched = {cls[i] for i, lab in enumerate(labels)
+                 if lab.startswith("face") and lab[-1] != "z"}
+    assert len(square) == 1 and not square & stretched
+
+
+def test_congruence_needs_a_proper_rotation():
+    base = GnomonicSpherePatch(1.0, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    rot = Rotation.from_euler("zyx", [0.3, -1.1, 0.7]).as_matrix()
+    mirror = np.diag([1.0, 1.0, -1.0])
+    turned = TransformedPatch(base, rot, (5.0, 0.0, 0.0))
+    mirrored = TransformedPatch(base, rot @ mirror, (-5.0, 0.0, 0.0))
+    cls = _classes(Surface.assemble([base, turned, mirrored], closed=False))
+    assert cls[0] == cls[1] != cls[2]
+
+
+@pytest.fixture(scope="module")
+def cube_efie_3(medium):
+    return EfieOperator(make_rounded_cube(1.0, 0.1), 3, medium)
+
+
+@pytest.fixture(scope="module")
+def sphere_mfie_4(sphere, medium):
+    return MfieOperator(sphere, 4, medium, OperatorConfig(variant=OPEN),
+                        mem_budget=1e12)
+
+
+def _sampled_zone_pairs(op, count=24):
+    g = op.grid
+    zones = _zone_pairs(g.target_points, g.data, g.diameters, g.n, op.config,
+                        g.on_patch_sets())
+    rng = np.random.default_rng(11)
+    return [[pairs[i] for i in rng.choice(len(pairs), count, replace=False)]
+            for pairs in zones]
+
+
+def _direct_row(op, zone, t, p, kernel):
+    g = op.grid
+    x_t = g.target_points[t]
+    patch = g.data[p].patch
+    if zone == 0:
+        u0, v0, dist = nearest_preimage(patch, x_t)
+        return weights_on_patch(patch, g.nodes, lambda pts, nrm: kernel(x_t, pts, op.k),
+                                (u0, v0), tol=op.config.quad_tol,
+                                peak=dist / (0.5 * g.diameters[p]))
+    return _oversample_rows(g.data[p], lambda pts, nrm: kernel(x_t, pts, op.k),
+                            g.n, g.nodes, op.config)
+
+
+def _assert_rows_close(got, want):
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_efie_reused_rows_match_direct(cube_efie_3):
+    op = cube_efie_3
+    s = op.grid.n**2
+    for zone, pairs in enumerate(_sampled_zone_pairs(op)):
+        for t, p in pairs:
+            _assert_rows_close(op.S[t, p * s:(p + 1) * s],
+                               _direct_row(op, zone, t, p, green))
+
+
+def test_mfie_reused_rows_match_direct(sphere_mfie_4):
+    op = sphere_mfie_4
+    s = op.grid.n**2
+    for zone, pairs in enumerate(_sampled_zone_pairs(op)):
+        for t, p in pairs:
+            want = _direct_row(op, zone, t, p, green_gradient)
+            _assert_rows_close(op._w3[t, p * s:(p + 1) * s], want)
+            _assert_rows_close(op._k4[t, p * s:(p + 1) * s],
+                               want @ op._tnormals[t])
+
+
+def test_build_stats_count_reuse(cube_efie_3, sphere_mfie_4):
+    assert cube_efie_3.build_stats == {
+        "classes": 3, "onpatch_rows": 486, "fan_rows": 1608,
+        "fan_rows_computed": 183, "mid_rows": 984, "mid_rows_computed": 101}
+    stats = sphere_mfie_4.build_stats
+    assert stats["classes"] == 1 and stats["onpatch_rows"] == 6 * 16
+    # one face of the sphere stands for all six
+    assert stats["fan_rows"] == 6 * stats["fan_rows_computed"] > 0
+    assert stats["mid_rows"] == 6 * stats["mid_rows_computed"] > 0
