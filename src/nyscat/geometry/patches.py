@@ -26,9 +26,13 @@ __all__ = [
 
 
 class Frames:
-    """First-order surface data at a batch of parameter points."""
+    """First-order surface data at a batch of parameter points.
 
-    __slots__ = ("point", "a_u", "a_v", "normal", "jac", "g", "ginv")
+    The metric g and its inverse are formed on first access: quadrature
+    batches read only point, normal and jac.
+    """
+
+    __slots__ = ("point", "a_u", "a_v", "normal", "jac", "_g", "_ginv")
 
     def __init__(self, point, a_u, a_v):
         self.point = point
@@ -39,17 +43,35 @@ class Frames:
         if np.any(self.jac <= 0.0) or not np.all(np.isfinite(self.jac)):
             raise ValueError("degenerate patch frame: sqrt(g) must stay positive")
         self.normal = cross / self.jac[..., None]
-        guu = np.einsum("...i,...i->...", a_u, a_u)
-        guv = np.einsum("...i,...i->...", a_u, a_v)
-        gvv = np.einsum("...i,...i->...", a_v, a_v)
-        self.g = np.stack(
-            [np.stack([guu, guv], axis=-1), np.stack([guv, gvv], axis=-1)], axis=-2
-        )
-        det = guu * gvv - guv * guv
-        inv = np.stack(
-            [np.stack([gvv, -guv], axis=-1), np.stack([-guv, guu], axis=-1)], axis=-2
-        )
-        self.ginv = inv / det[..., None, None]
+        self._g = self._ginv = None
+
+    @property
+    def g(self):
+        """Metric tensor (..., 2, 2)."""
+        if self._g is None:
+            guu, guv, gvv = self._metric()
+            self._g = np.stack(
+                [np.stack([guu, guv], axis=-1), np.stack([guv, gvv], axis=-1)], axis=-2
+            )
+        return self._g
+
+    @property
+    def ginv(self):
+        """Inverse metric tensor (..., 2, 2)."""
+        if self._ginv is None:
+            guu, guv, gvv = self._metric()
+            det = guu * gvv - guv * guv
+            inv = np.stack(
+                [np.stack([gvv, -guv], axis=-1), np.stack([-guv, guu], axis=-1)], axis=-2
+            )
+            self._ginv = inv / det[..., None, None]
+        return self._ginv
+
+    def _metric(self):
+        a_u, a_v = self.a_u, self.a_v
+        return (np.einsum("...i,...i->...", a_u, a_u),
+                np.einsum("...i,...i->...", a_u, a_v),
+                np.einsum("...i,...i->...", a_v, a_v))
 
     def tangential_from_contravariant(self, fu, fv):
         """Cartesian vector field from contravariant components."""

@@ -20,8 +20,15 @@ only on what a rigid motion preserves (distances to the patch, its surface
 measure and its cardinal basis), so during one build patches are grouped into
 classes of proper congruence and each row is computed once per distinct
 (zone, class, target position in the patch's own frame).  Gradient rows are
-stored in the patch frame and rotated back for each use.  On-patch rows are
-still computed per patch.
+stored in the patch frame and rotated back for each use.
+
+On-patch rows are computed per (patch, node), in node-major order: for each
+node, every patch.  Their fan apex is the node itself, the same parameter
+point on every patch, so each ladder level's rule and cardinal rows are built
+once per node and shared through a FanLevels cache; what remains per row is
+one frame and kernel evaluation and one matrix product per level.  Every
+ladder that runs out without meeting its tolerance is counted in
+build_stats["unconverged_rows"].
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from scipy import sparse
 
 from nyscat import spectral, topology
 from nyscat.geometry import MediumParams, Surface
+from nyscat.geometry.patches import Frames
 from nyscat.kernels.green import green, green_gradient
-from nyscat.kernels.singular import nearest_preimage, weights_on_patch
+from nyscat.kernels.singular import FanLevels, nearest_preimage, weights_on_patch
 
 __all__ = [
     "OperatorConfig",
@@ -113,7 +121,7 @@ def _grid_nodes(n: int, kind: str):
 class _PatchData:
     """Flattened node frames plus cached oversampled geometry."""
 
-    __slots__ = ("patch", "point", "a_u", "a_v", "normal", "jac", "ginv", "fine")
+    __slots__ = ("patch", "point", "a_u", "a_v", "normal", "jac", "fine")
 
     def __init__(self, patch, nodes):
         uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
@@ -124,7 +132,6 @@ class _PatchData:
         self.a_v = fr.a_v
         self.normal = fr.normal
         self.jac = fr.jac
-        self.ginv = fr.ginv
         self.fine = {}
 
     def fine_level(self, m: int):
@@ -171,22 +178,44 @@ def _zone_pairs(targets, pdata, diameters, n, config, on_sets):
     return fan_pairs, mid_pairs
 
 
+def _node_apex(nodes, node: int):
+    n = len(nodes)
+    return float(nodes[node // n]), float(nodes[node % n])
+
+
+def _onpatch_rows(patches, k: float, n: int, kind: str, tol: float):
+    """Scalar fan rows of every on-patch target, (M, S, S), and ladder misses.
+
+    Node-major, so consecutive rows share their apex and its fan levels.
+    """
+    nodes, _ = _grid_nodes(n, kind)
+    rows = np.empty((len(patches), n * n, n * n), dtype=complex)
+    levels, misses = FanLevels(), 0
+    for node in range(n * n):
+        apex = _node_apex(nodes, node)
+        for p, patch in enumerate(patches):
+            target = patch.point(np.array(apex[0]), np.array(apex[1]))
+            rows[p, node], ok = weights_on_patch(
+                patch, nodes, lambda pts, nrm: green(target, pts, k), apex,
+                tol=tol, levels=levels)
+            misses += not ok
+    return rows, misses
+
+
 def precompute_singular(patch, k: float, n: int, kind: str = "closed",
                         patch_id: int = 0, tol: float = 1e-12) -> SingularCorrection:
     """Fan-quadrature weight rows for every on-patch target node."""
-    nodes, _ = _grid_nodes(n, kind)
-    rows = np.empty((n * n, n * n), dtype=complex)
-    for iu in range(n):
-        for iv in range(n):
-            apex = (float(nodes[iu]), float(nodes[iv]))
-            target = patch.point(np.array(apex[0]), np.array(apex[1]))
-            rows[iu * n + iv] = weights_on_patch(
-                patch, nodes, lambda pts, nrm: green(target, pts, k), apex, tol=tol)
-    return SingularCorrection(patch_id, k, n, kind, rows)
+    rows, _ = _onpatch_rows([patch], k, n, kind, tol)
+    return SingularCorrection(patch_id, k, n, kind, rows[0])
 
 
 def _oversample_rows(pdat: _PatchData, kernel, n: int, nodes, config: OperatorConfig):
-    """Weights against the coarse basis via kernel quadrature on fine grids."""
+    """Weights against the coarse basis via kernel quadrature on fine grids.
+
+    Returns (weights, converged), as weights_on_patch does: converged is
+    False when the last refinement still moved a weight by more than
+    10 quad_tol (relative to max(1, max |weight|)).
+    """
     prev = None
     for lvl in range(1, config.max_levels + 1):
         m = n * config.refine_factor**lvl
@@ -202,9 +231,9 @@ def _oversample_rows(pdat: _PatchData, kernel, n: int, nodes, config: OperatorCo
         if prev is not None:
             scale = max(1.0, float(np.abs(cur).max()))
             if float(np.abs(cur - prev).max()) <= 10 * config.quad_tol * scale:
-                return cur
+                return cur, True
         prev = cur
-    return prev
+    return prev, False
 
 
 class _CongruentRows:
@@ -218,7 +247,8 @@ class _CongruentRows:
     target's patch-frame position bucketed at _BUCKET x diameter, and a hit
     also needs the stored position within _CONGRUENT x diameter.  Vector rows
     (kernel gradients) are stored in the patch frame and rotated back on use.
-    A table lives for one build only.
+    A table lives for one build only.  Computed rows whose ladder ran out
+    are counted in unconverged.
     """
 
     def __init__(self, pdata, nodes, diameters, k, config: OperatorConfig):
@@ -251,6 +281,7 @@ class _CongruentRows:
         self.table = {}
         self.requested = {"fan": 0, "mid": 0}
         self.computed = {"fan": 0, "mid": 0}
+        self.unconverged = 0
 
     def row(self, zone: str, x_t, p: int, kernel):
         """Weights of kernel(x_t, y, k) times the cardinal basis over patch p.
@@ -269,23 +300,27 @@ class _CongruentRows:
         d, k, cfg = self.pdata[p], self.k, self.config
         if zone == "fan":
             u0, v0, dist = nearest_preimage(d.patch, x_t)
-            row = weights_on_patch(d.patch, self.nodes,
-                                   lambda pts, nrm: kernel(x_t, pts, k), (u0, v0),
-                                   tol=cfg.quad_tol, peak=dist / (0.5 * self.diameters[p]))
+            row, ok = weights_on_patch(d.patch, self.nodes,
+                                       lambda pts, nrm: kernel(x_t, pts, k), (u0, v0),
+                                       tol=cfg.quad_tol,
+                                       peak=dist / (0.5 * self.diameters[p]))
         else:
-            row = _oversample_rows(d, lambda pts, nrm: kernel(x_t, pts, k),
-                                   len(self.nodes), self.nodes, cfg)
+            row, ok = _oversample_rows(d, lambda pts, nrm: kernel(x_t, pts, k),
+                                       len(self.nodes), self.nodes, cfg)
         self.computed[zone] += 1
+        self.unconverged += not ok
         if hit is None:
             self.table[key] = (local, row @ rot.T if row.ndim == 2 else row)
         return row
 
-    def stats(self, onpatch_rows: int) -> dict:
-        """Build counters: congruence classes and rows requested and computed."""
+    def stats(self, onpatch_rows: int, onpatch_misses: int) -> dict:
+        """Build counters: congruence classes, rows requested and computed,
+        and computed rows (on-patch ones included) whose ladder ran out."""
         out = {"classes": self.n_classes, "onpatch_rows": onpatch_rows}
         for zone in ("fan", "mid"):
             out[f"{zone}_rows"] = self.requested[zone]
             out[f"{zone}_rows_computed"] = self.computed[zone]
+        out["unconverged_rows"] = onpatch_misses + self.unconverged
         return out
 
 
@@ -384,7 +419,11 @@ def surface_divergence(density, surface: Surface, n: int, kind: str = "closed"):
 
 
 class _Grid:
-    """Node data, quadrature weights and (closed) continuity maps."""
+    """Node data, quadrature weights and (closed) continuity maps.
+
+    frames stacks every patch's node frames as (M, S, 3) arrays, so the
+    per-node geometry of a field map is one batched expression.
+    """
 
     def __init__(self, surface: Surface, n: int, kind: str):
         self.surface = surface
@@ -398,6 +437,8 @@ class _Grid:
         self.src_points = np.concatenate([d.point for d in self.data])
         self.src_wjac = np.concatenate([self.w2 * d.jac for d in self.data])
         self.jac_grids = np.stack([d.jac.reshape(n, n) for d in self.data])
+        self.frames = Frames(*(np.stack([getattr(d, a) for d in self.data])
+                               for a in ("point", "a_u", "a_v")))
         m, s = surface.n_patches, n * n
         if kind == "closed":
             self.groups = topology.build_coincidence(surface, n)
@@ -459,23 +500,13 @@ class _Grid:
 
     def cartesian_from_grids(self, grids):
         """(M, n, n, 2) contravariant samples -> (M, S, 3) Cartesian."""
-        m, s = len(self.data), self.n**2
-        flat = grids.reshape(m, s, 2)
-        out = np.empty((m, s, 3), dtype=complex)
-        for p, d in enumerate(self.data):
-            out[p] = flat[p, :, 0, None] * d.a_u + flat[p, :, 1, None] * d.a_v
-        return out
+        flat = grids.reshape(len(self.data), self.n**2, 2)
+        return self.frames.tangential_from_contravariant(flat[..., 0], flat[..., 1])
 
     def full_from_cartesian(self, vec):
         """(M, S, 3) tangential Cartesian field -> flat contravariant vector."""
-        m, n = len(self.data), self.n
-        grids = np.empty((m, n, n, 2), dtype=complex)
-        for p, d in enumerate(self.data):
-            cu = np.einsum("sc,sc->s", vec[p], d.a_u)
-            cv = np.einsum("sc,sc->s", vec[p], d.a_v)
-            ju = d.ginv[:, 0, 0] * cu + d.ginv[:, 0, 1] * cv
-            jv = d.ginv[:, 1, 0] * cu + d.ginv[:, 1, 1] * cv
-            grids[p] = np.stack([ju, jv], axis=-1).reshape(n, n, 2)
+        ju, jv = self.frames.contravariant_from_cartesian(vec)
+        grids = np.stack([ju, jv], axis=-1).reshape(len(self.data), self.n, self.n, 2)
         return topology.grids_to_full(grids)
 
     def surface_gradient(self, phi_full):
@@ -484,12 +515,19 @@ class _Grid:
         phi = phi_full.reshape(m, n, n)
         du = np.einsum("ab,mbv->mav", self.diff, phi).reshape(m, n * n)
         dv = np.einsum("ab,mub->mua", self.diff, phi).reshape(m, n * n)
-        out = np.empty((m, n * n, 3), dtype=complex)
-        for p, d in enumerate(self.data):
-            gu = d.ginv[:, 0, 0] * du[p] + d.ginv[:, 0, 1] * dv[p]
-            gv = d.ginv[:, 1, 0] * du[p] + d.ginv[:, 1, 1] * dv[p]
-            out[p] = gu[:, None] * d.a_u + gv[:, None] * d.a_v
-        return out
+        gi = self.frames.ginv
+        gu = gi[..., 0, 0] * du + gi[..., 0, 1] * dv
+        gv = gi[..., 1, 0] * du + gi[..., 1, 1] * dv
+        return self.frames.tangential_from_contravariant(gu, gv)
+
+    def sample(self, fn):
+        """fn at every node point, ((M*S, 3) points -> values) as (M, S, 3)."""
+        pts = self.frames.point
+        return np.asarray(fn(pts.reshape(-1, 3))).reshape(pts.shape)
+
+    def project(self, vec):
+        """(M, S, 3) tangential Cartesian node field -> unknown vector."""
+        return self.compress(self.full_from_cartesian(vec))
 
 
 class EfieOperator:
@@ -508,15 +546,15 @@ class EfieOperator:
         self.medium = medium
         self.k = medium.wavenumber
         self.eta = medium.impedance
-        self.corrections = [
-            precompute_singular(p, self.k, n, kind, pid, self.config.quad_tol)
-            for pid, p in enumerate(surface.patches)
-        ]
+        rows, misses = _onpatch_rows(surface.patches, self.k, n, kind,
+                                     self.config.quad_tol)
+        self.corrections = [SingularCorrection(pid, self.k, n, kind, rows[pid])
+                            for pid in range(surface.n_patches)]
         g = self.grid
         table = _CongruentRows(g.data, g.nodes, g.diameters, self.k, self.config)
         self.S = _layer_matrix(g.target_points, table, g.on_patch_pairs(),
                                self.corrections)
-        self.build_stats = table.stats(surface.n_patches * n * n)
+        self.build_stats = table.stats(surface.n_patches * n * n, misses)
 
     @property
     def n_unknowns(self) -> int:
@@ -536,19 +574,14 @@ class EfieOperator:
         a_full = pot_a[g.member_of]  # (M, S, 3) point values scattered back
         phi_full = pot_phi[g.member_of]  # (M, S)
         total = a_full + g.surface_gradient(phi_full) / self.k**2
-        out = np.empty_like(total)
-        for p, d in enumerate(g.data):
-            out[p] = np.cross(d.normal, total[p])
+        out = np.cross(g.frames.normal, total)
         out *= 1j * self.k * self.eta
-        return g.compress(g.full_from_cartesian(out))
+        return g.project(out)
 
     def rhs(self, field_fn):
         """Project -n x E_inc onto the unknown space."""
         g = self.grid
-        vec = np.empty((g.surface.n_patches, g.n**2, 3), dtype=complex)
-        for p, d in enumerate(g.data):
-            vec[p] = -np.cross(d.normal, field_fn(d.point))
-        return g.compress(g.full_from_cartesian(vec))
+        return g.project(-np.cross(g.frames.normal, g.sample(field_fn)))
 
     def cartesian_current(self, x):
         """Unknown vector -> (M, S, 3) Cartesian current samples at nodes."""
@@ -607,10 +640,11 @@ class MfieOperator:
             vals_g.append(wg)
             vals_k.append(wk)
 
-        for t, p, node in on_pairs:
+        levels, misses = FanLevels(), 0
+        for t, p, node in sorted(on_pairs, key=lambda pair: (pair[2], pair[1])):
             x_t = g.target_points[t]
             n_t = self._tnormals[t]
-            apex = (float(g.nodes[node // n]), float(g.nodes[node % n]))
+            apex = _node_apex(g.nodes, node)
 
             def kern(pts, nrm, x_t=x_t, n_t=n_t):
                 gr = green_gradient(x_t, pts, k)
@@ -619,15 +653,16 @@ class MfieOperator:
             # the target cardinal is excluded from the gradient family: its
             # density factor n(x).J(x) is identically zero and the integral
             # diverges; the normal-projected component stays weakly singular
-            w4 = weights_on_patch(g.data[p].patch, g.nodes, kern, apex,
-                                  tol=cfg.quad_tol,
-                                  zero_entries=((node, 0), (node, 1), (node, 2)))
+            w4, ok = weights_on_patch(g.data[p].patch, g.nodes, kern, apex,
+                                      tol=cfg.quad_tol, levels=levels,
+                                      zero_entries=((node, 0), (node, 1), (node, 2)))
+            misses += not ok
             push(t, p, np.ascontiguousarray(w4[:, :3]), w4[:, 3].copy())
         for zone, pairs in zip(("fan", "mid"), zones):
             for t, p in pairs:
                 wg = table.row(zone, g.target_points[t], p, green_gradient)
                 push(t, p, wg, wg @ self._tnormals[t])
-        self.build_stats = table.stats(len(on_pairs))
+        self.build_stats = table.stats(len(on_pairs), misses)
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         vals_g = np.concatenate(vals_g) if len(vals_g) else np.zeros((0, 3), dtype=complex)
@@ -712,10 +747,7 @@ class MfieOperator:
     def rhs(self, hfield_fn):
         """Project n x H_inc onto the unknown space."""
         g = self.grid
-        vec = np.empty((g.surface.n_patches, g.n**2, 3), dtype=complex)
-        for p, d in enumerate(g.data):
-            vec[p] = np.cross(d.normal, hfield_fn(d.point))
-        return g.compress(g.full_from_cartesian(vec))
+        return g.project(np.cross(g.frames.normal, g.sample(hfield_fn)))
 
     def cartesian_current(self, x):
         g = self.grid

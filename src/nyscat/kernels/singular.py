@@ -7,7 +7,15 @@ triangle by rays from the apex carries a Jacobian proportional to the ray
 parameter, which cancels the 1/R blowup, so tensor Gauss rules converge
 rapidly.  Weights are accumulated against the tensor cardinal basis of the
 patch's interpolation nodes; the order ladder stops once the weight vector
-stagnates below the requested tolerance.
+stagnates below the requested tolerance, and reports whether it did.
+
+One ladder level costs one kernel evaluation on the rule's points and one
+real matrix product (GEMM) per kernel component: the real and imaginary
+parts of the weighted kernel values times the u cardinal rows, contracted
+against the v cardinal rows over the rule's points.  On-patch
+apices are grid nodes, the same on every patch, so a caller that visits the
+on-patch rows node-major passes a FanLevels cache: each level's rule and
+cardinal rows are then built once per node and shared by all patches.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from nyscat import spectral
 __all__ = [
     "gauss01",
     "fan_rule",
+    "FanLevels",
     "weights_on_patch",
     "nearest_preimage",
     "LADDER",
@@ -48,7 +57,34 @@ def _sinh01(q: int, delta: float):
     return delta * np.sinh(big * x), w * delta * big * np.cosh(big * x)
 
 
-def fan_rule(u0: float, v0: float, q: int, peak: float = 0.0):
+class FanLevels:
+    """Fan rules and cardinal rows of one exact-node apex, one ladder deep.
+
+    Entries are keyed by ladder level (and node set, for the cardinal rows),
+    built on first use, returned read-only, and dropped as soon as a request
+    names another apex.  Only rules without a peak (targets on the patch)
+    go through it.
+    """
+
+    def __init__(self):
+        self.apex = None
+        self.entries = {}
+
+    def get(self, apex, key, make):
+        """Arrays make() built for (apex, key), reusing them while apex repeats."""
+        if apex != self.apex:
+            self.apex, self.entries = apex, {}
+        out = self.entries.get(key)
+        if out is None:
+            out = make()
+            for a in out:
+                a.flags.writeable = False
+            self.entries[key] = out
+        return out
+
+
+def fan_rule(u0: float, v0: float, q: int, peak: float = 0.0,
+             levels: FanLevels | None = None):
     """Tensor Gauss rule over the square, fanned around apex (u0, v0).
 
     Returns (points (Q, 2), weights (Q,)); the weights include the triangle
@@ -65,7 +101,16 @@ def fan_rule(u0: float, v0: float, q: int, peak: float = 0.0):
     along it R = s * rho(t) with rho dipping to the apex-edge distance over
     a similarly narrow range of t, a peak the plain tensor rule cannot see.
     The t variable is then graded toward the dip from both sides.
+
+    With a levels cache and no peak the rule is built once per apex and
+    level, and the returned arrays are read-only.
     """
+    if levels is not None and peak == 0.0:
+        return levels.get((u0, v0), q, lambda: _fan_rule(u0, v0, q, 0.0))
+    return _fan_rule(u0, v0, q, peak)
+
+
+def _fan_rule(u0: float, v0: float, q: int, peak: float):
     apex = np.array([u0, v0])
     s, ws = gauss01(q)
     pts, wgt = [], []
@@ -108,12 +153,35 @@ def fan_rule(u0: float, v0: float, q: int, peak: float = 0.0):
     return np.concatenate(pts), np.concatenate(wgt)
 
 
-def _cardinal_weights(vals, w, bu, bv):
-    # vals (Q,) or (Q, m); bu, bv (Q, n): accumulate against the tensor basis
-    if vals.ndim == 1:
-        return np.einsum("q,qa,qb->ab", vals * w, bu, bv).reshape(-1)
-    out = np.einsum("qm,qa,qb->abm", vals * w[:, None], bu, bv)
-    return out.reshape(-1, vals.shape[1])
+def _cardinal_weights(vals, w, but, bv):
+    """sum_q vals[q] w[q] bu[q, a] bv[q, b] as (n*n,) or (n*n, m).
+
+    but is bu transposed, (n, Q) C-ordered.  One real GEMM per kernel
+    component: the real and imaginary planes of vals * w, each times every
+    cardinal row of bu, stacked as (2n, Q) with Q running fastest and
+    contracted against bv.  Looping over components keeps that operand the
+    only large temporary.
+    """
+    cols = vals.reshape(vals.shape[0], -1).T  # (m, Q)
+    n, m = but.shape[0], cols.shape[0]
+    pairs = np.iscomplexobj(cols)
+    planes = np.empty((m, 2 if pairs else 1, cols.shape[1]))
+    if pairs:
+        np.multiply(cols.real, w, out=planes[:, 0])
+        np.multiply(cols.imag, w, out=planes[:, 1])
+    else:
+        np.multiply(cols, w, out=planes[:, 0])
+    out = np.empty((n, n, m), dtype=complex if pairs else float)
+    for c in range(m):
+        prod = (planes[c, :, None, :] * but).reshape(-1, but.shape[1]) @ bv
+        out[:, :, c] = prod[:n] + 1j * prod[n:] if pairs else prod
+    return out.reshape(n * n) if vals.ndim == 1 else out.reshape(n * n, m)
+
+
+def _cardinal_rows(nodes, uv):
+    """(bu transposed to (n, Q), bv (Q, n)) at the rule's points."""
+    but = np.ascontiguousarray(spectral.interp_matrix(nodes, uv[:, 0]).T)
+    return but, spectral.interp_matrix(nodes, uv[:, 1])
 
 
 def weights_on_patch(
@@ -126,6 +194,7 @@ def weights_on_patch(
     zero_entries=(),
     ladder=LADDER,
     peak: float = 0.0,
+    levels: FanLevels | None = None,
 ):
     """Quadrature weights for kernel * (cardinal basis) * dsigma over a patch.
 
@@ -143,9 +212,14 @@ def weights_on_patch(
             multi-component kernels where only some components diverge.
         peak: parameter-space distance of an off-patch target from the apex;
             grades the fan's ray variable so the near-peak stays resolved.
+        levels: cache sharing each level's rule and cardinal rows between
+            consecutive calls with the same on-patch apex.
 
     Returns:
-        (n*n,) or (n*n, m) weight array including the surface measure.
+        (weights, converged): the (n*n,) or (n*n, m) weight array including
+        the surface measure, and whether the last ladder step changed it by
+        at most tol (relative to max(1, max |weight|)).  When the ladder runs
+        out the last iterate is returned with converged False.
     """
     nodes = np.asarray(nodes)
     zero_nodes = tuple(zero_nodes)
@@ -154,14 +228,19 @@ def weights_on_patch(
     # the rays that hard would fold fine points onto the apex itself
     if peak < 1e-12:
         peak = 0.0
+    shared = levels is not None and peak == 0.0
+    u0, v0 = float(apex[0]), float(apex[1])
     prev = None
     for q in ladder:
-        uv, w = fan_rule(apex[0], apex[1], q, peak)
+        uv, w = fan_rule(u0, v0, q, peak, levels)
+        if shared:
+            but, bv = levels.get((u0, v0), (q, nodes.tobytes()),
+                                 lambda: _cardinal_rows(nodes, uv))
+        else:
+            but, bv = _cardinal_rows(nodes, uv)
         fr = patch.frames(uv[:, 0], uv[:, 1])
         vals = np.asarray(kernel(fr.point, fr.normal))
-        bu = spectral.interp_matrix(nodes, uv[:, 0])
-        bv = spectral.interp_matrix(nodes, uv[:, 1])
-        cur = _cardinal_weights(vals, w * fr.jac, bu, bv)
+        cur = _cardinal_weights(vals, w * fr.jac, but, bv)
         if zero_nodes:
             cur[np.array(zero_nodes)] = 0.0
         for node, comp in zero_entries:
@@ -169,9 +248,9 @@ def weights_on_patch(
         if prev is not None:
             scale = max(1.0, float(np.abs(cur).max()))
             if float(np.abs(cur - prev).max()) <= tol * scale:
-                return cur
+                return cur, True
         prev = cur
-    return prev
+    return prev, False
 
 
 def nearest_preimage(patch, x, n_seed: int = 12, iters: int = 40, tol: float = 1e-13):

@@ -77,10 +77,8 @@ def assemble_rhs(surface: Surface, maps, pw: PlaneWave) -> np.ndarray:
     grid = getattr(maps, "grid", maps)
     if grid.surface is not surface:
         raise ValueError("maps were built for a different surface")
-    vec = np.empty((surface.n_patches, grid.n**2, 3), dtype=complex)
-    for p, d in enumerate(grid.data):
-        vec[p] = -np.cross(d.normal, plane_wave_eval(pw, d.point))
-    return grid.compress(grid.full_from_cartesian(vec))
+    e_inc = grid.sample(lambda r: plane_wave_eval(pw, r))
+    return grid.project(-np.cross(grid.frames.normal, e_inc))
 
 
 @dataclass
@@ -263,7 +261,4 @@ def mie_reference(diameter: float, pw: PlaneWave, max_order: int = 120):
 def project_current(sampler, operator) -> np.ndarray:
     """Sample a Cartesian surface current onto an operator's unknown space."""
     g = operator.grid
-    vec = np.empty((g.surface.n_patches, g.n**2, 3), dtype=complex)
-    for p, d in enumerate(g.data):
-        vec[p] = sampler(d.point)
-    return g.compress(g.full_from_cartesian(vec))
+    return g.project(g.sample(sampler))

@@ -42,7 +42,8 @@ def gmres(apply, rhs, tol: float, restart: int = 200,
         restart: Arnoldi cycle length.  The default can stall: on the
             rounded cube with edge 1, r=0.1, wavelength 1 and n=4 the closed
             EFIE with restart=200 stops at a relative residual of 6.7e-3.
-            Pass restart=max_iter for an unrestarted solve.
+            Pass restart=max_iter for an unrestarted solve.  A cycle is
+            never longer than len(rhs), the largest Krylov space there is.
         max_iter: total inner-iteration budget across cycles; on exhaustion
             the best iterate is returned with converged=False.
 
@@ -73,7 +74,9 @@ def gmres(apply, rhs, tol: float, restart: int = 200,
         if rel <= tol:
             return SolveReport(x, total, history, True)
 
-        m = min(restart, max_iter - total)
+        # a Krylov space never outgrows the system: size the cycle (and its
+        # (m+1, m) Hessenberg) to what can be used, not to the budget
+        m = min(restart, max_iter - total, rhs.size)
         basis = [r / beta]
         hess = np.zeros((m + 1, m), dtype=complex)
         cs = np.zeros(m, dtype=complex)

@@ -137,32 +137,40 @@ def cheb_eval_2d(coeffs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray
     return cheb_eval(rows, uf).reshape(shape)
 
 
-def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation weights for an arbitrary (small) node set."""
-    nodes = np.asarray(nodes, dtype=float)
+@lru_cache(maxsize=64)
+def _barycentric(key: bytes) -> np.ndarray:
+    # cached per node set (keyed by its bytes) and read-only: callers share it
+    nodes = np.frombuffer(key)
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     w = 1.0 / diff.prod(axis=1)
-    return w / np.abs(w).max()
+    w /= np.abs(w).max()
+    w.flags.writeable = False
+    return w
+
+
+def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation weights for an arbitrary (small) node set."""
+    return _barycentric(np.ascontiguousarray(nodes, dtype=float).tobytes()).copy()
 
 
 def interp_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix mapping values on ``nodes`` to interpolated values at ``x``.
 
     Rows are the Lagrange cardinal functions evaluated at the targets; exact
-    hits reproduce the nodal value without division blow-up.
+    hits (within 1e-14) reproduce the nodal value without division blow-up.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = np.ascontiguousarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w = barycentric_weights(nodes)
+    w = _barycentric(nodes.tobytes())
     d = x[:, None] - nodes[None, :]
-    hit = np.isclose(d, 0.0, rtol=0.0, atol=1e-14)
-    d_safe = np.where(hit, 1.0, d)
-    terms = w[None, :] / d_safe
+    hit = np.abs(d) <= 1e-14
+    d[hit] = 1.0
+    terms = w / d
     mat = terms / terms.sum(axis=1, keepdims=True)
     exact_rows = hit.any(axis=1)
     if exact_rows.any():
-        mat[exact_rows] = hit[exact_rows].astype(float)
+        mat[exact_rows] = hit[exact_rows]
     return mat
 
 

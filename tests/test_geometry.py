@@ -105,6 +105,25 @@ def test_frames_cross_product_identity():
     np.testing.assert_allclose(det, fr.jac**2, rtol=1e-12)
 
 
+def test_lazy_metric_matches_eager_formula():
+    p = SphereQuadPatch((0, 0, 0), 1.0, [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
+    rng = np.random.default_rng(8)
+    u, v = rng.uniform(-1, 1, (2, 3, 7))
+    fr = p.frames(u, v)
+    assert fr._g is None and fr._ginv is None  # quadrature batches never pay
+    a_u, a_v = fr.a_u, fr.a_v
+    guu = np.einsum("...i,...i->...", a_u, a_u)
+    guv = np.einsum("...i,...i->...", a_u, a_v)
+    gvv = np.einsum("...i,...i->...", a_v, a_v)
+    g = np.stack([np.stack([guu, guv], axis=-1), np.stack([guv, gvv], axis=-1)], axis=-2)
+    inv = np.stack([np.stack([gvv, -guv], axis=-1), np.stack([-guv, guu], axis=-1)], axis=-2)
+    ginv = inv / (guu * gvv - guv * guv)[..., None, None]
+    assert np.array_equal(fr.ginv, ginv) and np.array_equal(fr.g, g)
+    assert fr.g is fr.g and fr.ginv is fr.ginv  # formed once
+    np.testing.assert_allclose(fr.ginv @ fr.g, np.broadcast_to(np.eye(2), g.shape),
+                               atol=1e-13)
+
+
 def test_contravariant_round_trip():
     p = SphereQuadPatch((0, 0, 0), 1.0, [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
     rng = np.random.default_rng(4)

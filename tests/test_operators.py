@@ -555,9 +555,9 @@ def _direct_row(op, zone, t, p, kernel):
         u0, v0, dist = nearest_preimage(patch, x_t)
         return weights_on_patch(patch, g.nodes, lambda pts, nrm: kernel(x_t, pts, op.k),
                                 (u0, v0), tol=op.config.quad_tol,
-                                peak=dist / (0.5 * g.diameters[p]))
+                                peak=dist / (0.5 * g.diameters[p]))[0]
     return _oversample_rows(g.data[p], lambda pts, nrm: kernel(x_t, pts, op.k),
-                            g.n, g.nodes, op.config)
+                            g.n, g.nodes, op.config)[0]
 
 
 def _assert_rows_close(got, want):
@@ -587,9 +587,84 @@ def test_mfie_reused_rows_match_direct(sphere_mfie_4):
 def test_build_stats_count_reuse(cube_efie_3, sphere_mfie_4):
     assert cube_efie_3.build_stats == {
         "classes": 3, "onpatch_rows": 486, "fan_rows": 1608,
-        "fan_rows_computed": 183, "mid_rows": 984, "mid_rows_computed": 101}
+        "fan_rows_computed": 183, "mid_rows": 984, "mid_rows_computed": 101,
+        "unconverged_rows": 72}
     stats = sphere_mfie_4.build_stats
     assert stats["classes"] == 1 and stats["onpatch_rows"] == 6 * 16
     # one face of the sphere stands for all six
     assert stats["fan_rows"] == 6 * stats["fan_rows_computed"] > 0
     assert stats["mid_rows"] == 6 * stats["mid_rows_computed"] > 0
+    assert stats["unconverged_rows"] == 0
+
+
+def _onpatch_direct(op, p, node, kernel, **kw):
+    g = op.grid
+    patch = g.data[p].patch
+    apex = (float(g.nodes[node // g.n]), float(g.nodes[node % g.n]))
+    x_t = patch.point(np.array(apex[0]), np.array(apex[1]))
+    return weights_on_patch(patch, g.nodes, lambda pts, nrm: kernel(x_t, pts, op.k),
+                            apex, tol=op.config.quad_tol, **kw)[0]
+
+
+def test_efie_node_major_onpatch_rows_match_direct(cube_efie_3):
+    op = cube_efie_3
+    s = op.grid.n**2
+    for p in range(op.grid.surface.n_patches):  # patch-major, no shared levels
+        for node in range(s):
+            _assert_rows_close(op.corrections[p].weights[node],
+                               _onpatch_direct(op, p, node, green))
+    single = precompute_singular(op.grid.surface.patches[5], op.k, op.grid.n, "closed", 5)
+    for node in range(s):
+        _assert_rows_close(single.weights[node], op.corrections[5].weights[node])
+
+
+def test_mfie_node_major_onpatch_rows_match_direct(sphere_mfie_4):
+    op = sphere_mfie_4
+    g = op.grid
+    s = g.n**2
+    for t, p, node in g.on_patch_pairs():
+        n_t = op._tnormals[t]
+        want = _onpatch_direct(
+            op, p, node,
+            lambda x, pts, k: np.concatenate([green_gradient(x, pts, k),
+                                              green_gradient(x, pts, k) @ n_t[:, None]],
+                                             axis=1),
+            zero_entries=((node, 0), (node, 1), (node, 2)))
+        _assert_rows_close(op._w3[t, p * s:(p + 1) * s], want[:, :3])
+        _assert_rows_close(op._k4[t, p * s:(p + 1) * s], want[:, 3])
+
+
+def test_grid_maps_match_per_patch_loops(cube_efie_3):
+    g = cube_efie_3.grid
+    m, n, s = g.surface.n_patches, g.n, g.n**2
+    rng = np.random.default_rng(12)
+    grids = rng.standard_normal((m, n, n, 2)) + 1j * rng.standard_normal((m, n, n, 2))
+    vec = rng.standard_normal((m, s, 3)) + 1j * rng.standard_normal((m, s, 3))
+    phi = rng.standard_normal(m * s) + 1j * rng.standard_normal(m * s)
+    # the per-patch loops these maps replaced, kept as the reference
+    cart = np.empty((m, s, 3), dtype=complex)
+    contra = np.empty((m, n, n, 2), dtype=complex)
+    grad = np.empty((m, s, 3), dtype=complex)
+    du = np.einsum("ab,mbv->mav", g.diff, phi.reshape(m, n, n)).reshape(m, s)
+    dv = np.einsum("ab,mub->mua", g.diff, phi.reshape(m, n, n)).reshape(m, s)
+    for p, d in enumerate(g.data):
+        gi = d.patch.frames(*(a.ravel() for a in np.meshgrid(g.nodes, g.nodes,
+                                                             indexing="ij"))).ginv
+        flat = grids[p].reshape(s, 2)
+        cart[p] = flat[:, 0, None] * d.a_u + flat[:, 1, None] * d.a_v
+        cu = np.einsum("sc,sc->s", vec[p], d.a_u)
+        cv = np.einsum("sc,sc->s", vec[p], d.a_v)
+        contra[p] = np.stack([gi[:, 0, 0] * cu + gi[:, 0, 1] * cv,
+                              gi[:, 1, 0] * cu + gi[:, 1, 1] * cv], axis=-1).reshape(n, n, 2)
+        gu = gi[:, 0, 0] * du[p] + gi[:, 0, 1] * dv[p]
+        gv = gi[:, 1, 0] * du[p] + gi[:, 1, 1] * dv[p]
+        grad[p] = gu[:, None] * d.a_u + gv[:, None] * d.a_v
+    for got, want in ((g.cartesian_from_grids(grids), cart),
+                      (g.full_from_cartesian(vec), topology.grids_to_full(contra)),
+                      (g.surface_gradient(phi), grad)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    field = lambda pts: np.exp(1j * pts @ np.array([0.3, -1.2, 2.0]))[:, None] * pts
+    sampled = g.sample(field)
+    for p, d in enumerate(g.data):
+        assert np.array_equal(sampled[p], field(d.point))
+    assert np.array_equal(g.project(vec), g.compress(g.full_from_cartesian(vec)))

@@ -5,7 +5,15 @@ from scipy import integrate
 from nyscat import spectral
 from nyscat.geometry import GnomonicSpherePatch, PlanePatch, make_sphere
 from nyscat.kernels.green import green, green_gradient
-from nyscat.kernels.singular import fan_rule, gauss01, nearest_preimage, weights_on_patch
+from nyscat.kernels.singular import (
+    FanLevels,
+    _cardinal_rows,
+    _cardinal_weights,
+    fan_rule,
+    gauss01,
+    nearest_preimage,
+    weights_on_patch,
+)
 
 
 def polar_weight_oracle(patch, target, apex, node_idx, nodes, component=None, k=2 * np.pi):
@@ -74,7 +82,7 @@ def test_fan_weights_smooth_kernel_match_dense_quadrature():
     kernel = lambda pts, nrm: np.exp(1j * pts @ d)
     n = 12
     nodes = spectral.cc_nodes(n)
-    w = weights_on_patch(patch, nodes, kernel, (0.21, -0.4))
+    w, _ = weights_on_patch(patch, nodes, kernel, (0.21, -0.4))
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
     dens = (uu + 0.3) * (vv - 0.2) ** 2
     got = w @ dens.ravel()
@@ -100,7 +108,7 @@ def test_on_surface_sphere_single_layer_closed_form():
 
     n = 16
     nodes = spectral.cc_nodes(n)
-    w_self = weights_on_patch(patch, nodes, kernel, (0.0, 0.0))
+    w_self, _ = weights_on_patch(patch, nodes, kernel, (0.0, 0.0))
     total = w_self.sum()  # cardinals sum to one: weight sum = integral
 
     m = 48
@@ -125,7 +133,7 @@ def test_singular_weight_against_polar_oracle():
     target = patch.point(np.array(apex[0]), np.array(apex[1]))
     k = 2 * np.pi
     kernel = lambda pts, nrm: green(target, pts, k)
-    w = weights_on_patch(patch, nodes, kernel, apex)
+    w, _ = weights_on_patch(patch, nodes, kernel, apex)
     for j in (3 * n + 5, 0, 4 * n + 2):  # the apex node and two others
         want = polar_weight_oracle(patch, target, apex, j, nodes, k=k)
         assert abs(w[j] - want) < 1e-8
@@ -140,7 +148,7 @@ def test_gradient_weights_with_zeroed_target_cardinal():
     k = 2 * np.pi
     kernel = lambda pts, nrm: green_gradient(target, pts, k)
     j_apex = 4 * n + 4
-    w = weights_on_patch(patch, nodes, kernel, apex, zero_nodes=(j_apex,))
+    w, _ = weights_on_patch(patch, nodes, kernel, apex, zero_nodes=(j_apex,))
     assert w.shape == (n * n, 3)
     assert np.all(w[j_apex] == 0.0)
     for j, comp in (((2 * n + 6), 0), ((5 * n + 3), 2)):
@@ -162,7 +170,7 @@ def test_near_singular_weights_match_dense_quadrature():
     u0, v0, dist = nearest_preimage(patch, target)
     assert abs(u0 - uv0[0]) < 1e-9 and abs(v0 - uv0[1]) < 1e-9
     assert abs(dist - 0.12) < 1e-12
-    w = weights_on_patch(patch, nodes, kernel, (u0, v0))
+    w, _ = weights_on_patch(patch, nodes, kernel, (u0, v0))
 
     m = 96  # smooth but peaked: dense plain rule still converges
     g, gw = spectral.cc_nodes(m), spectral.cc_weights(m)
@@ -181,3 +189,77 @@ def test_preimage_clamps_outside_targets():
     assert abs(u0 - 1.0) < 1e-12
     assert abs(v0 - 0.3) < 1e-10
     assert abs(dist - np.sqrt(1.25)) < 1e-10
+
+
+@pytest.mark.parametrize("m", [None, 4])
+@pytest.mark.parametrize("rule", [(0.0, 0.0, 48, 0.0), (0.97, -0.2, 9, 0.01)])
+def test_cardinal_weights_match_reference_einsum(m, rule):
+    # the second rule is a graded sliver fan with an odd point count
+    uv, w = fan_rule(*rule)
+    rng = np.random.default_rng(5)
+    w = w * rng.uniform(0.5, 2.0, w.size)  # stands in for the surface measure
+    shape = (w.size,) if m is None else (w.size, m)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nodes = spectral.cc_nodes(6)
+    but, bv = _cardinal_rows(nodes, uv)
+    bu = spectral.interp_matrix(nodes, uv[:, 0])
+    if m is None:
+        want = np.einsum("q,qa,qb->ab", vals * w, bu, bv).reshape(-1)
+    else:
+        want = np.einsum("qm,qa,qb->abm", vals * w[:, None], bu, bv).reshape(-1, m)
+    got = _cardinal_weights(vals, w, but, bv)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    real = _cardinal_weights(vals.real, w, but, bv)
+    assert real.dtype == float
+    assert np.abs(real - want.real).max() <= 1e-14 * np.abs(want.real).max()
+    if rule[0] == 0.97:
+        assert w.size % 2 == 1
+
+
+def test_fan_levels_share_read_only_rules():
+    levels = FanLevels()
+    uv, w = fan_rule(0.5, -0.25, 14, levels=levels)
+    again = fan_rule(0.5, -0.25, 14, levels=levels)
+    assert again[0] is uv and again[1] is w
+    for arr in (uv, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    plain = fan_rule(0.5, -0.25, 14)
+    assert np.array_equal(plain[0], uv) and np.array_equal(plain[1], w)
+    assert plain[0].flags.writeable
+    # a rule with a peak is never cached; another apex drops the old entries
+    assert fan_rule(0.5, -0.25, 14, 0.01, levels)[0].flags.writeable
+    other = fan_rule(0.0, 0.0, 14, levels=levels)
+    assert np.array_equal(other[0], fan_rule(0.0, 0.0, 14)[0])
+    assert levels.apex == (0.0, 0.0) and list(levels.entries) == [14]
+
+
+def test_shared_levels_give_the_same_weights():
+    surf = make_sphere(2.0)
+    nodes = spectral.cc_nodes(5)
+    apex = (float(nodes[1]), float(nodes[3]))
+    levels = FanLevels()
+    for patch in surf.patches[:3]:
+        target = patch.point(np.array(apex[0]), np.array(apex[1]))
+        kernel = lambda pts, nrm: green(target, pts, 2 * np.pi)
+        shared, ok_shared = weights_on_patch(patch, nodes, kernel, apex, levels=levels)
+        alone, ok_alone = weights_on_patch(patch, nodes, kernel, apex)
+        assert ok_shared == ok_alone
+        assert np.array_equal(shared, alone)
+    assert levels.apex == apex
+
+
+def test_ladder_reports_whether_it_converged():
+    patch = GnomonicSpherePatch(1.0, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    nodes = spectral.cc_nodes(6)
+    target = patch.point(np.array(0.0), np.array(0.0))
+    kernel = lambda pts, nrm: green(target, pts, 2 * np.pi)
+    w, ok = weights_on_patch(patch, nodes, kernel, (0.0, 0.0))
+    assert ok
+    # one level has nothing to compare against; a zero tolerance is never met
+    short, ok = weights_on_patch(patch, nodes, kernel, (0.0, 0.0), ladder=(20,))
+    assert not ok and short.shape == w.shape
+    last, ok = weights_on_patch(patch, nodes, kernel, (0.0, 0.0), tol=0.0)
+    assert not ok and np.abs(last - w).max() <= 1e-12 * np.abs(w).max()

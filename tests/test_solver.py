@@ -107,3 +107,21 @@ def test_report_defaults():
     rep = SolveReport(np.zeros(2), 0)
     assert rep.history == []
     assert rep.converged is False
+
+
+def test_cycle_never_outgrows_the_system():
+    # restart far beyond the dimension must not allocate a (restart+1, restart)
+    # Hessenberg: 3000 would be 144 MB for a 40-unknown system
+    import tracemalloc
+
+    a, b = _random_system(40, 9)
+    want = gmres(lambda v: a @ v, b, 1e-10, restart=40, max_iter=200)
+    tracemalloc.start()
+    try:
+        rep = gmres(lambda v: a @ v, b, 1e-10, restart=3000, max_iter=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert rep.converged and rep.iterations == want.iterations
+    assert rep.history == want.history

@@ -138,6 +138,37 @@ def test_interp_matrix_cardinal_property():
     np.testing.assert_allclose(m, np.eye(8), atol=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["closed", "open"])
+def test_interp_matrix_exact_hit_rows(kind):
+    nodes = spectral.cc_nodes(7) if kind == "closed" else spectral.fejer_nodes(7)
+    # on a node, or within the 1e-14 hit distance of one: an exact unit row
+    x = np.concatenate([nodes, nodes[:3] + 8e-15, nodes[3:] - 8e-15])
+    m = spectral.interp_matrix(nodes, x)
+    want = np.vstack([np.eye(7), np.eye(7)])
+    assert np.array_equal(m, want)
+    # just outside it the barycentric formula takes over, still near the node
+    near = spectral.interp_matrix(nodes, nodes + 1e-12)
+    assert not np.array_equal(near, np.eye(7))
+    np.testing.assert_allclose(near, np.eye(7), atol=1e-9)
+    mixed = spectral.interp_matrix(nodes, np.array([0.123, nodes[2], -0.77]))
+    assert np.array_equal(mixed[1], np.eye(7)[2])
+    np.testing.assert_allclose(mixed[[0, 2]].sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_barycentric_weights_cache_cannot_be_changed():
+    nodes = spectral.cc_nodes(9)
+    w = spectral.barycentric_weights(nodes)
+    first = w.copy()
+    w[:] = 7.0  # the caller's copy, not the cached weights
+    assert np.array_equal(spectral.barycentric_weights(nodes), first)
+    tgt = np.linspace(-1, 1, 17)
+    np.testing.assert_allclose(spectral.interp_matrix(nodes, tgt) @ nodes**5, tgt**5,
+                               atol=1e-12)
+    # equal node sets passed as other arrays share the entry
+    again = spectral.barycentric_weights(list(nodes))
+    assert np.array_equal(again, first) and again is not w
+
+
 def test_interp_matrix_reproduces_polynomials():
     src = spectral.cc_nodes(9)
     tgt = np.linspace(-1, 1, 17)
