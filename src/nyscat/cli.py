@@ -341,7 +341,8 @@ def run_solve(cfg: RunConfig) -> int:
             write_rcs_csv(cfg.out_dir / "rcs.csv", op, report.solution, cfg)
         _json_dump(cfg.out_dir / "manifest.json", _manifest(cfg, op, report))
         _json_dump(cfg.out_dir / "timing.json",
-                   {"build_seconds": t_build, "solve_seconds": t_solve})
+                   {"build_seconds": t_build, "solve_seconds": t_solve,
+                    "orth_seconds": report.orth_seconds})
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 3

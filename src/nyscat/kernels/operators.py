@@ -29,6 +29,16 @@ once per node and shared through a FanLevels cache; what remains per row is
 one frame and kernel evaluation and one matrix product per level.  Every
 ladder that runs out without meeting its tolerance is counted in
 build_stats["unconverged_rows"].
+
+The electric-field matvec is C S B.  The grid's sparse source map B takes
+the unknowns to the Cartesian current and its surface divergence at every
+source node, an (M S, 4) block; one dense product with S gives the vector
+and scalar potentials at every target; the sparse target map C gathers
+them back to the nodes, adds the spectral surface gradient over k^2, takes
+ik eta n x, the contravariant components and Q.  B and C are assembled
+once per operator from the node frames, the differentiation matrix and the
+continuity maps, with O(n) entries per row.  The magnetic-field operator
+reads its Cartesian current from the rows of the same B.
 """
 
 from __future__ import annotations
@@ -454,6 +464,7 @@ class _Grid:
             self.P = self.Q = None
             self.member_of = np.arange(m * s).reshape(m, s)
             self.target_points = self.src_points
+        self.source = _source_map(self)
 
     @property
     def n_targets(self):
@@ -499,7 +510,11 @@ class _Grid:
         return self.Q @ full if self.kind == "closed" else full
 
     def cartesian_from_grids(self, grids):
-        """(M, n, n, 2) contravariant samples -> (M, S, 3) Cartesian."""
+        """(M, n, n, 2) contravariant samples -> (M, S, 3) Cartesian.
+
+        The per-vector form of the Cartesian rows of source, kept as the
+        staged reference that the sparse map is tested against.
+        """
         flat = grids.reshape(len(self.data), self.n**2, 2)
         return self.frames.tangential_from_contravariant(flat[..., 0], flat[..., 1])
 
@@ -510,7 +525,11 @@ class _Grid:
         return topology.grids_to_full(grids)
 
     def surface_gradient(self, phi_full):
-        """Scalar node samples (M, S) -> tangential gradient (M, S, 3)."""
+        """Scalar node samples (M, S) -> tangential gradient (M, S, 3).
+
+        The per-vector form of the gradient inside the EFIE target map,
+        kept as the staged reference that the sparse map is tested against.
+        """
         m, n = len(self.data), self.n
         phi = phi_full.reshape(m, n, n)
         du = np.einsum("ab,mbv->mav", self.diff, phi).reshape(m, n * n)
@@ -530,12 +549,109 @@ class _Grid:
         return self.compress(self.full_from_cartesian(vec))
 
 
-class EfieOperator:
+def _source_map(grid: _Grid):
+    """Sparse B: unknowns -> (M*S, 4) source samples, flattened row-major.
+
+    Row 4 (p S + s) + c holds, at node s of patch p, the Cartesian
+    current component c < 3 (J^u a_u + J^v a_v) and, at c = 3, the
+    surface divergence (1/sqrt g)(d_u (sqrt g J^u) + d_v (sqrt g J^v))
+    by spectral differentiation along the node's grid lines.  A row
+    holds at most 2n full-vector entries, and P maps each to at most two
+    unknowns.
+    """
+    m, n, s = len(grid.data), grid.n, grid.n**2
+    full = np.arange(2 * m * s).reshape(m, 2, n, n)  # (patch, comp, iu, iv)
+    first = 4 * np.arange(m * s).reshape(m, n, n)
+    fr, jac, d = grid.frames, grid.jac_grids, grid.diff
+    cart_rows = first.reshape(m, s, 1) + np.arange(3)
+    shape4 = (m, n, n, n)  # (patch, iu, iv, b): b runs along a grid line
+    du_cols = full[:, 0].transpose(0, 2, 1)[:, None]  # node (b, iv)
+    dv_cols = full[:, 1][:, :, None]  # node (iu, b)
+    du_vals = d[None, :, None, :] * jac.transpose(0, 2, 1)[:, None] / jac[..., None]
+    dv_vals = d[None, None] * jac[:, :, None] / jac[..., None]
+    div_rows = np.broadcast_to(first[..., None] + 3, shape4)
+    rows = [cart_rows, cart_rows, div_rows, div_rows]
+    cols = [np.broadcast_to(full[:, c].reshape(m, s, 1), (m, s, 3)) for c in (0, 1)]
+    cols += [np.broadcast_to(du_cols, shape4), np.broadcast_to(dv_cols, shape4)]
+    vals = [fr.a_u, fr.a_v, du_vals, dv_vals]
+    b = sparse.csr_matrix(
+        (np.concatenate([v.ravel() for v in vals]).astype(complex),
+         (np.concatenate([r.ravel() for r in rows]),
+          np.concatenate([c.ravel() for c in cols]))),
+        shape=(4 * m * s, 2 * m * s))
+    return b @ grid.P if grid.kind == "closed" else b
+
+
+def _target_map(grid: _Grid, k: float, eta: float):
+    """Sparse C: flat (T, 4) potentials (A, phi) -> unknowns.
+
+    At node s of patch p it gathers the potentials of the node's target
+    (member_of) and forms ik eta n x (A + grad phi / k^2), the gradient
+    by spectral differentiation along the node's grid lines, in
+    contravariant components; Q then averages over coinciding nodes.  A
+    full-vector row holds 3 + (2n - 1) entries.
+    """
+    m, n, s = len(grid.data), grid.n, grid.n**2
+    fr, d = grid.frames, grid.diff
+    scale = 1j * k * eta
+    # R = g^-1 [a_u x n; a_v x n]: contravariant components of n x v
+    tang = np.stack([fr.a_u, fr.a_v], axis=-2)  # (M, S, 2, 3)
+    r = fr.ginv @ np.cross(tang, fr.normal[:, :, None])
+    # R A g^-1 sends the (d_u, d_v) derivatives of phi to n x grad phi
+    r_grad = r @ np.swapaxes(tang, -1, -2) @ fr.ginv
+    rows = np.arange(2 * m * s).reshape(m, 2, n, n)
+    target = 4 * grid.member_of.reshape(m, n, n)
+    shape5 = (m, 2, n, n, n)  # (patch, comp, iu, iv, b)
+    a_rows = np.broadcast_to(rows.reshape(m, 2, s, 1), (m, 2, s, 3))
+    a_cols = np.broadcast_to(target.reshape(m, 1, s, 1) + np.arange(3), (m, 2, s, 3))
+    a_vals = scale * np.swapaxes(r, 1, 2)
+    grad = (scale / k**2) * np.moveaxis(r_grad, 2, 1).reshape(m, 2, n, n, 2)
+    phi_rows = np.broadcast_to(rows[..., None], shape5)
+    du_cols = np.broadcast_to(target.transpose(0, 2, 1)[:, None, None] + 3, shape5)
+    dv_cols = np.broadcast_to(target[:, None, :, None] + 3, shape5)
+    du_vals = grad[..., 0, None] * d[:, None, :]
+    dv_vals = grad[..., 1, None] * d[None]
+    c = sparse.csr_matrix(
+        (np.concatenate([a_vals.ravel(), du_vals.ravel(), dv_vals.ravel()]),
+         (np.concatenate([a_rows.ravel(), phi_rows.ravel(), phi_rows.ravel()]),
+          np.concatenate([a_cols.ravel(), du_cols.ravel(), dv_cols.ravel()]))),
+        shape=(2 * m * s, 4 * grid.n_targets))
+    return grid.Q @ c if grid.kind == "closed" else c
+
+
+class _GridOperator:
+    """What both field operators share: a _Grid and its unknown vector."""
+
+    grid: _Grid
+
+    @property
+    def n_unknowns(self) -> int:
+        return self.grid.n_unknowns
+
+    def _unknowns(self, x):
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.n_unknowns,):
+            raise ValueError(f"expected vector of length {self.n_unknowns}")
+        return x
+
+    def cartesian_current(self, x):
+        """Unknown vector -> (M, S, 3) Cartesian current samples at nodes."""
+        g = self.grid
+        return (g.source @ x).reshape(len(g.data), g.n**2, 4)[..., :3]
+
+
+class EfieOperator(_GridOperator):
     """Tangential electric-field map T J = ik eta n x (A + grad phi / k^2).
 
     variant closed-continuity: unknowns are unique point values and the map
     composes Q (field stages) P.  variant open-no-continuity: unknowns are
     raw per-patch samples on the interior-node grid.
+
+    apply is C @ (S @ (B @ x).reshape(M*S, 4)).ravel(): the grid's sparse
+    source map B gives the Cartesian current and its divergence at every
+    source node, one dense product with S gives the vector and scalar
+    potentials at every target, and the sparse target map C takes them back
+    to the unknowns.
     """
 
     def __init__(self, surface: Surface, n: int, medium: MediumParams,
@@ -555,42 +671,19 @@ class EfieOperator:
         self.S = _layer_matrix(g.target_points, table, g.on_patch_pairs(),
                                self.corrections)
         self.build_stats = table.stats(surface.n_patches * n * n, misses)
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.grid.n_unknowns
+        self.target_map = _target_map(g, self.k, self.eta)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.n_unknowns,):
-            raise ValueError(f"expected vector of length {self.n_unknowns}")
-        g = self.grid
-        m, n = g.surface.n_patches, g.n
-        grids = topology.full_to_grids(g.expand(x), m, n)
-        j_cart = g.cartesian_from_grids(grids)
-        div = _divergence_grids(grids, g.jac_grids, g.diff)
-        pot_a = self.S @ j_cart.reshape(m * n * n, 3)
-        pot_phi = self.S @ div.reshape(m * n * n)
-        a_full = pot_a[g.member_of]  # (M, S, 3) point values scattered back
-        phi_full = pot_phi[g.member_of]  # (M, S)
-        total = a_full + g.surface_gradient(phi_full) / self.k**2
-        out = np.cross(g.frames.normal, total)
-        out *= 1j * self.k * self.eta
-        return g.project(out)
+        y = self.grid.source @ self._unknowns(x)
+        return self.target_map @ (self.S @ y.reshape(-1, 4)).ravel()
 
     def rhs(self, field_fn):
         """Project -n x E_inc onto the unknown space."""
         g = self.grid
         return g.project(-np.cross(g.frames.normal, g.sample(field_fn)))
 
-    def cartesian_current(self, x):
-        """Unknown vector -> (M, S, 3) Cartesian current samples at nodes."""
-        g = self.grid
-        grids = topology.full_to_grids(g.expand(x), g.surface.n_patches, g.n)
-        return g.cartesian_from_grids(grids)
 
-
-class MfieOperator:
+class MfieOperator(_GridOperator):
     """Magnetic-field map M J = J/2 - n x pv-integral(grad G x J).
 
     The kernel splits as grad G (n_t . J) minus (n_t . grad G) J; both
@@ -614,10 +707,6 @@ class MfieOperator:
         self._build_corrections()
         if self.materialized:
             self._build_dense()
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.grid.n_unknowns
 
     def _build_corrections(self):
         """Sparse zone corrections for the four kernel families.
@@ -733,14 +822,9 @@ class MfieOperator:
         return out
 
     def apply(self, x):
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.n_unknowns,):
-            raise ValueError(f"expected vector of length {self.n_unknowns}")
+        x = self._unknowns(x)
         g = self.grid
-        m, n = g.surface.n_patches, g.n
-        grids = topology.full_to_grids(g.expand(x), m, n)
-        j_cart = g.cartesian_from_grids(grids)
-        integ = self._integral(j_cart.reshape(m * n * n, 3))
+        integ = self._integral(self.cartesian_current(x).reshape(-1, 3))
         field = -integ[g.member_of]  # (M, S, 3)
         return x / 2.0 + g.compress(g.full_from_cartesian(field))
 
@@ -748,11 +832,6 @@ class MfieOperator:
         """Project n x H_inc onto the unknown space."""
         g = self.grid
         return g.project(np.cross(g.frames.normal, g.sample(hfield_fn)))
-
-    def cartesian_current(self, x):
-        g = self.grid
-        grids = topology.full_to_grids(g.expand(x), g.surface.n_patches, g.n)
-        return g.cartesian_from_grids(grids)
 
 
 def efie_forward(x, operator: EfieOperator):

@@ -33,9 +33,6 @@ __all__ = [
     "barycentric_weights",
     "interp_matrix",
     "resample_matrix",
-    "Grid1D",
-    "closed_grid",
-    "open_grid",
 ]
 
 
@@ -216,32 +213,3 @@ def resample_matrix(n: int, m: int, kind: str = "closed") -> np.ndarray:
     src = cc_nodes(n) if kind == "closed" else fejer_nodes(n)
     dst = cc_nodes(m) if kind == "closed" else fejer_nodes(m)
     return interp_matrix(src, dst)
-
-
-class Grid1D:
-    """A cached bundle of nodes, weights and operators for one grid size."""
-
-    def __init__(self, n: int, kind: str):
-        self.n = n
-        self.kind = kind
-        self.nodes = cc_nodes(n) if kind == "closed" else fejer_nodes(n)
-        self.weights = cc_weights(n) if kind == "closed" else fejer_weights(n)
-        self.diff = diff_matrix(self.nodes)
-        self.to_coeffs, self.from_coeffs = _transform_pair(n, kind)
-        self.bary = barycentric_weights(self.nodes)
-
-    def interp_to(self, x: np.ndarray) -> np.ndarray:
-        return interp_matrix(self.nodes, x)
-
-    def __repr__(self):  # pragma: no cover
-        return "Grid1D(n=%d, kind=%r)" % (self.n, self.kind)
-
-
-@lru_cache(maxsize=None)
-def closed_grid(n: int) -> Grid1D:
-    return Grid1D(n, "closed")
-
-
-@lru_cache(maxsize=None)
-def open_grid(n: int) -> Grid1D:
-    return Grid1D(n, "open")

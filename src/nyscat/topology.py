@@ -237,11 +237,13 @@ def frame_block(t1, t2, a_u, a_v):
     into the patch's contravariant pair, compress inverts it.  Writing
     A = [a_u a_v] and T = [t1 t2], compress C = T'A and expand B = (A'A)^-1 C',
     so C B = T' A (A'A)^-1 A' T = T' T = I whenever span(A) = span(T).
+    The frame counts as degenerate when sin^2 of the angle between a_u and
+    a_v, det g / (g_uu g_vv), is at most 1e-12, whatever the unit of length.
     """
     c = np.array([[t1 @ a_u, t1 @ a_v], [t2 @ a_u, t2 @ a_v]])
     g = np.array([[a_u @ a_u, a_u @ a_v], [a_v @ a_u, a_v @ a_v]])
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if not det > 1e-28:
+    if not det > 1e-12 * g[0, 0] * g[1, 1]:
         raise SurfaceError("degenerate tangent frame at a shared point")
     ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
     expand = ginv @ c.T

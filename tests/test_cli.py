@@ -78,6 +78,8 @@ def test_solve_writes_tables_and_manifest(tmp_path):
     assert man["config"]["formulation"] == "efie-closed"
     timing = json.loads((out / "timing.json").read_text())
     assert timing["build_seconds"] > 0 and timing["solve_seconds"] > 0
+    # the solve's time outside the operator's matvecs
+    assert 0 < timing["orth_seconds"] < timing["solve_seconds"]
 
 
 def test_solve_reruns_byte_identical(tmp_path):
@@ -88,6 +90,9 @@ def test_solve_reruns_byte_identical(tmp_path):
     assert cli.main(["solve", cfg2]) == 0
     for name in ("density.csv", "rcs.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # timings are volatile: they stay in timing.json, out of the manifest
+    assert "orth_seconds" in json.loads((out1 / "timing.json").read_text())
+    assert "orth_seconds" not in (out1 / "manifest.json").read_text()
 
 
 def test_solve_mfie_open_grid(tmp_path):

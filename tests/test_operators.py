@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad_vec
 from scipy.spatial.transform import Rotation
 
@@ -24,8 +25,11 @@ from nyscat.kernels.operators import (
     OperatorConfig,
     _CongruentRows,
     _Grid,
+    _divergence_grids,
     _oversample_rows,
     _patch_data,
+    _source_map,
+    _target_map,
     _zone_pairs,
     efie_forward,
     efie_forward_open,
@@ -668,3 +672,94 @@ def test_grid_maps_match_per_patch_loops(cube_efie_3):
     for p, d in enumerate(g.data):
         assert np.array_equal(sampled[p], field(d.point))
     assert np.array_equal(g.project(vec), g.compress(g.full_from_cartesian(vec)))
+
+
+# ---------------------------------------------------------------------------
+# factored matvecs: sparse source map B, one product with S, target map C
+
+
+def _pipeline_efie_apply(op, x):
+    """The staged EFIE apply the factored one replaced, kept as the reference:
+    expand, Cartesian current and divergence per patch grid, two products
+    with S, gather, surface gradient, n x, project."""
+    g = op.grid
+    m, n = g.surface.n_patches, g.n
+    grids = topology.full_to_grids(g.expand(x), m, n)
+    j_cart = g.cartesian_from_grids(grids)
+    div = _divergence_grids(grids, g.jac_grids, g.diff)
+    pot_a = op.S @ j_cart.reshape(m * n * n, 3)
+    pot_phi = op.S @ div.reshape(m * n * n)
+    total = pot_a[g.member_of] + g.surface_gradient(pot_phi[g.member_of]) / op.k**2
+    return g.project(1j * op.k * op.eta * np.cross(g.frames.normal, total))
+
+
+def _pipeline_cartesian_current(op, x):
+    g = op.grid
+    return g.cartesian_from_grids(topology.full_to_grids(g.expand(x), g.surface.n_patches, g.n))
+
+
+def _pipeline_mfie_apply(op, x):
+    g = op.grid
+    integ = op._integral(_pipeline_cartesian_current(op, x).reshape(-1, 3))
+    return x / 2.0 + g.compress(g.full_from_cartesian(-integ[g.member_of]))
+
+
+@pytest.fixture(scope="module")
+def cube_efie_3_lambda4():
+    return EfieOperator(make_rounded_cube(1.0, 0.1), 3, MediumParams(4.0))
+
+
+@pytest.mark.parametrize("case", ["cube-closed-efie", "sphere-open-efie", "sphere-mfie"])
+def test_factored_apply_matches_the_pipeline(case, request, efie_op):
+    if case == "cube-closed-efie":
+        op, ref = request.getfixturevalue("cube_efie_3_lambda4"), _pipeline_efie_apply
+    elif case == "sphere-open-efie":
+        op, ref = efie_op(4, OPEN), _pipeline_efie_apply
+    else:
+        op, ref = request.getfixturevalue("sphere_mfie_4"), _pipeline_mfie_apply
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        x = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
+        want = ref(op, x)
+        assert np.linalg.norm(op.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+        cart = _pipeline_cartesian_current(op, x)
+        assert np.abs(op.cartesian_current(x) - cart).max() <= 1e-14 * np.abs(cart).max()
+
+
+def _assert_row_nnz(mat, bound):
+    assert sparse.issparse(mat)
+    assert np.diff(mat.tocsr().indptr).max() <= bound
+
+
+@pytest.mark.parametrize("case", ["cube-closed-efie", "sphere-open-efie"])
+def test_source_and_target_maps_stay_sparse(case, request, efie_op):
+    op = (request.getfixturevalue("cube_efie_3_lambda4") if case == "cube-closed-efie"
+          else efie_op(4, OPEN))
+    n = op.grid.n
+    # B: a divergence row reaches the n nodes of each grid line through the
+    # node, 2n full-vector entries, and P maps each to at most the 2 unknowns
+    # of its point: at most 4n per row (a Cartesian row: 2 entries, so 4).
+    _assert_row_nnz(op.grid.source, 4 * n)
+    # C: a full-vector row holds 3 entries of the node's A and the phi of the
+    # 2n - 1 nodes on its two grid lines; Q averages up to 4 coinciding
+    # members (corners), which share the target and so its 3 A columns:
+    # 3 + 4 (2n - 1) < 8n per row.
+    _assert_row_nnz(op.target_map, 8 * n)
+
+
+def test_maps_build_without_dense_temporaries():
+    # 108 patches at n = 3: 872 unknowns, so one dense complex (N, N/4)
+    # block is 3 MB, while the maps hold about 10,000 entries each
+    import tracemalloc
+
+    g = _Grid(make_dipole(), 3, "closed")
+    budget = g.n_unknowns**2 * 16 // 4
+    for build in (lambda: _source_map(g), lambda: _target_map(g, K0, 376.73)):
+        tracemalloc.start()
+        try:
+            built = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(built)
+        assert peak < budget

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nyscat.solver import SolveReport, gmres
+from nyscat.solver import SolveReport, _orthogonalise, gmres
 
 
 def _random_system(n, seed):
@@ -125,3 +125,140 @@ def test_cycle_never_outgrows_the_system():
     assert peak < 2_000_000
     assert rep.converged and rep.iterations == want.iterations
     assert rep.history == want.history
+
+
+# ---------------------------------------------------------------------------
+# CGS2 Arnoldi against the modified Gram-Schmidt solver it replaced
+
+
+def _mgs_gmres(apply, rhs, tol, restart=200, max_iter=1000):
+    """The previous gmres, kept as the reference: modified Gram-Schmidt with
+    one reorthogonalization pass over a list basis, Givens rotations held in
+    numpy arrays.  Returns (solution, iterations, history, converged)."""
+    rhs = np.asarray(rhs, dtype=complex)
+    b_norm = float(np.linalg.norm(rhs))
+    x = np.zeros_like(rhs)
+    history, total, first = [], 0, True
+
+    def update(x, hess, g, basis, j):
+        y = np.linalg.solve(hess[:j, :j], g[:j])
+        return x + np.asarray(basis[:j]).T @ y
+
+    while total < max_iter:
+        r = rhs.copy() if first else rhs - np.asarray(apply(x), dtype=complex)
+        first = False
+        beta = float(np.linalg.norm(r))
+        rel = beta / b_norm
+        if not history:
+            history.append(rel)
+        if rel <= tol:
+            return x, total, history, True
+        m = min(restart, max_iter - total, rhs.size)
+        basis = [r / beta]
+        hess = np.zeros((m + 1, m), dtype=complex)
+        cs = np.zeros(m, dtype=complex)
+        sn = np.zeros(m, dtype=float)
+        g = np.zeros(m + 1, dtype=complex)
+        g[0] = beta
+        j = 0
+        while j < m:
+            w = np.array(apply(basis[j]), dtype=complex)
+            for i in range(j + 1):
+                h = np.vdot(basis[i], w)
+                w -= h * basis[i]
+                hess[i, j] = h
+            for i in range(j + 1):
+                c = np.vdot(basis[i], w)
+                w -= c * basis[i]
+                hess[i, j] += c
+            hnorm = float(np.linalg.norm(w))
+            for i in range(j):
+                hi, hj = hess[i, j], hess[i + 1, j]
+                hess[i, j] = np.conj(cs[i]) * hi + sn[i] * hj
+                hess[i + 1, j] = -sn[i] * hi + cs[i] * hj
+            a = hess[j, j]
+            denom = np.hypot(abs(a), hnorm)
+            if denom < 1e-30:
+                cs[j], sn[j] = 1.0, 0.0
+            else:
+                cs[j], sn[j] = a / denom, hnorm / denom
+            hess[j, j] = denom
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = np.conj(cs[j]) * g[j]
+            total += 1
+            j += 1
+            rel = abs(g[j]) / b_norm
+            history.append(rel)
+            if hnorm < 1e-30:
+                return update(x, hess, g, basis, j), total, history, True
+            basis.append(w / hnorm)
+            if rel <= tol:
+                return update(x, hess, g, basis, j), total, history, True
+        x = update(x, hess, g, basis, j)
+    return x, total, history, False
+
+
+def _ill_conditioned_system(n=300, seed=2024, outliers=12):
+    # normal matrix: a disc of eigenvalues about 1 (radius 0.9) plus a tail of
+    # outliers down to 2e-5, so cond is about 1e5, as on the rounded cube
+    # (1.6e5); GMRES then needs most of the 300 dimensions, as there
+    rng = np.random.default_rng(seed)
+    k = n - outliers
+    lam = 1 + 0.9 * np.sqrt(rng.uniform(0, 1, k)) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
+    lam = np.concatenate([lam, np.geomspace(1e-1, 2e-5, outliers)])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = (q * lam) @ q.conj().T
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return a, b
+
+
+@pytest.fixture(scope="module")
+def ill_conditioned():
+    a, b = _ill_conditioned_system()
+    tol = 1e-8
+    ref = _mgs_gmres(lambda v: a @ v, b, tol, restart=3000, max_iter=3000)
+    rep = gmres(lambda v: a @ v, b, tol, restart=3000, max_iter=3000)
+    return a, b, tol, ref, rep
+
+
+def test_cgs2_follows_the_mgs_reference(ill_conditioned):
+    a, b, tol, (_, ref_iters, ref_hist, ref_converged), rep = ill_conditioned
+    assert 5e4 < np.linalg.cond(a) < 2e5
+    assert ref_converged and 150 < ref_iters < 300
+    assert rep.converged
+    assert abs(rep.iterations - ref_iters) <= 1
+    got, want = np.array(rep.history[:51]), np.array(ref_hist[:51])
+    assert np.all(np.abs(got - want) <= 1e-6 * want)
+    true_rel = np.linalg.norm(a @ rep.solution - b) / np.linalg.norm(b)
+    assert true_rel <= 10 * tol
+
+
+def test_cgs2_arnoldi_basis_stays_orthogonal(ill_conditioned):
+    # the Arnoldi basis of the whole solve, built with gmres's own step
+    a, b, _, _, rep = ill_conditioned
+    m = rep.iterations
+    basis = np.empty((m + 1, b.size), dtype=complex)
+    basis[0] = b / np.linalg.norm(b)
+    for j in range(m):
+        w, _ = _orthogonalise(basis[:j + 1], a @ basis[j])
+        basis[j + 1] = w / np.linalg.norm(w)
+    loss = np.linalg.norm(np.eye(m + 1) - basis.conj() @ basis.T, 2)
+    assert loss <= 1e-12
+
+
+def test_orth_seconds_leave_out_the_matvecs():
+    import time
+
+    a, b = _random_system(30, seed=2)
+    calls = []
+
+    def slow(v):
+        calls.append(1)
+        time.sleep(0.002)
+        return a @ v
+
+    t0 = time.perf_counter()
+    rep = gmres(slow, b, 1e-10)
+    wall = time.perf_counter() - t0
+    assert rep.converged and len(calls) == rep.iterations
+    assert 0 < rep.orth_seconds <= wall - 0.002 * len(calls)

@@ -166,6 +166,32 @@ def test_aligned_frames_reduce_to_identity_blocks():
     np.testing.assert_allclose(compress, np.eye(2), atol=1e-15)
 
 
+def test_tiny_sphere_maps_scale_with_length():
+    # a 20 nm sphere given in metres: the same maps as at diameter 2, with
+    # the shared-frame columns of P carrying one factor 1/length (interior
+    # groups keep contravariant components on both sides)
+    n, scale = 4, 1e-8
+    big = make_sphere(2.0)
+    tiny = make_sphere(2.0 * scale)
+    g_big, g_tiny = build_coincidence(big, n), build_coincidence(tiny, n)
+    assert [g.members for g in g_tiny] == [g.members for g in g_big]
+    p_big = build_projection(g_big, big, n).toarray()
+    p_tiny = build_projection(g_tiny, tiny, n).toarray()
+    col_scale = np.repeat([1.0 if g.cls == TYPE_A else 1.0 / scale for g in g_big], 2)
+    want = p_big * col_scale
+    assert np.abs(p_tiny - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_parallel_tangents_are_degenerate():
+    e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(SurfaceError, match="degenerate"):
+        frame_block(e1, e2, e1, 3.0 * e1)
+    # 1e-7 rad apart at a length scale of 1e-9: sin^2 = 1e-14 of the angle
+    with pytest.raises(SurfaceError, match="degenerate"):
+        frame_block(e1, e2, 1e-9 * e1, 1e-9 * (e1 + 1e-7 * e2))
+
+
 def test_aligned_patchwork_gives_zero_one_projection():
     # two coplanar unit patches with identical parametrizations: every
     # nonzero value of P is exactly one
