@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nyscat import physics, topology
+from nyscat import physics
 from nyscat.geometry import (
     MediumParams,
     Surface,
@@ -243,7 +243,7 @@ def _excitation(cfg: RunConfig) -> physics.PlaneWave:
 def _operator_rhs(op, wave: physics.PlaneWave):
     if isinstance(op, MfieOperator):
         return op.rhs(lambda pts: physics.plane_wave_hfield(wave, pts))
-    return physics.assemble_rhs(op.grid.surface, op, wave)
+    return op.rhs(lambda pts: physics.plane_wave_eval(wave, pts))
 
 
 def _fmt(x) -> str:
@@ -264,11 +264,11 @@ def write_density_csv(path: Path, op, solution):
     uu, vv = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     uu, vv = uu.ravel(), vv.ravel()
     rows = []
-    for p, d in enumerate(g.data):
+    for p, pts in enumerate(g.frames.point):
         mag = np.linalg.norm(cart[p], axis=1)
         for s in range(n * n):
             rows.append([str(p), _fmt(uu[s]), _fmt(vv[s]),
-                         _fmt(d.point[s, 0]), _fmt(d.point[s, 1]), _fmt(d.point[s, 2]),
+                         _fmt(pts[s, 0]), _fmt(pts[s, 1]), _fmt(pts[s, 2]),
                          _fmt(cart[p, s, 0].real), _fmt(cart[p, s, 0].imag),
                          _fmt(cart[p, s, 1].real), _fmt(cart[p, s, 1].imag),
                          _fmt(cart[p, s, 2].real), _fmt(cart[p, s, 2].imag),
@@ -374,7 +374,7 @@ def _reference_density(cfg: RunConfig, surface: Surface, op, wave):
     if cfg.reference is None:
         diameter = cfg.geometry.get("diameter", 2.0)
         sampler, _ = physics.mie_reference(diameter, wave)
-        return physics.project_current(sampler, op)
+        return op.grid.project(op.grid.sample(sampler))
     try:
         data = np.load(cfg.reference)
     except OSError as exc:

@@ -7,11 +7,18 @@ compressed by Q afterwards.  The open (interior-node) grids carry the
 baseline electric-field variant without continuity and the magnetic-field
 operator.
 
-Every potential evaluation splits source patches into zones per target:
-on-patch targets use precomputed fan-quadrature rows, targets within a small
-fraction of the patch diameter use fan rows around the nearest preimage,
-targets in a middle annulus integrate an oversampled interpolant, and
-everything else uses the plain tensor rule.  The scalar potential's outer
+Both operators assemble their kernel matrices one way.  The plain tensor
+rule gives every (target, source node) entry from the one formula per
+kernel in green.py; then every (target, patch) block that needs a better
+rule is overwritten by its corrected row.  On-patch targets use fan
+quadrature around the target node, targets within a small fraction of the
+patch diameter use fan rows around the nearest preimage, and targets in a
+middle annulus integrate an oversampled interpolant.  One pass lists and
+computes these blocks for either kernel.  A target that coincides, or
+nearly coincides, with a source node lies on or next to that node's patch,
+so its block is an on-patch or fan block and its plain value is always
+replaced: the plain rule needs no distance threshold, only a guard that
+keeps an exact r = 0 from dividing by zero.  The scalar potential's outer
 gradient acts on surface samples only (spectral tangential gradient), so no
 strongly singular kernel ever appears.
 
@@ -56,22 +63,22 @@ from nyscat.kernels.singular import FanLevels, nearest_preimage, weights_on_patc
 
 __all__ = [
     "OperatorConfig",
-    "SingularCorrection",
-    "precompute_singular",
-    "single_layer",
     "surface_divergence",
     "EfieOperator",
     "MfieOperator",
-    "efie_forward",
-    "efie_forward_open",
-    "mfie_forward",
 ]
 
 CLOSED = "closed-continuity"
 OPEN = "open-no-continuity"
 
+# zoning, against fractions of the source patch's diameter: fan rows inside
+# _FAN_THRESHOLD, oversampled rows out to _NEAR_THRESHOLD, plain rule beyond
+_FAN_THRESHOLD = 0.1
+_NEAR_THRESHOLD = 0.45
+_REFINE_FACTOR = 2  # fine-grid growth per oversampling level
+_MAX_LEVELS = 4  # oversampling levels
+_QUAD_TOL = 1e-12  # ladder stopping step, relative to max(1, max |weight|)
 _CHUNK = 256  # target rows per dense-assembly block
-_COINCIDENT = 1e-14  # below this separation a pair counts as the same point
 _CONGRUENT = 1e-12  # shape and position match, relative to the patch diameter
 _BUCKET = 1e-8  # key resolution of patch-frame target positions, same unit
 # parameter points no symmetry of the square maps onto themselves, so two
@@ -82,44 +89,13 @@ _PROBE_UV = np.array([[0.31, -0.74], [-0.58, 0.23], [0.87, 0.46],
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Quadrature zoning and refinement controls.
-
-    Distances are measured from the target to the source patch and compared
-    against fractions of that patch's diameter: fan corrections inside
-    fan_threshold, oversampled interpolation out to near_threshold, plain
-    tensor quadrature beyond.
-    """
+    """Grid variant: CLOSED (continuity-enforced) or OPEN (no continuity)."""
 
     variant: str = CLOSED
-    fan_threshold: float = 0.1
-    near_threshold: float = 0.45
-    refine_factor: int = 2
-    max_levels: int = 4
-    quad_tol: float = 1e-12
 
     def __post_init__(self):
         if self.variant not in (CLOSED, OPEN):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not 0 < self.fan_threshold <= self.near_threshold < 1:
-            raise ValueError("thresholds must satisfy 0 < fan <= near < 1")
-        if self.refine_factor < 2 or self.max_levels < 1:
-            raise ValueError("refinement factor must be >= 2 with >= 1 level")
-
-
-@dataclass
-class SingularCorrection:
-    """Replacement quadrature rows for on-patch targets of one patch.
-
-    weights[j] integrates G(node_j, .) times the cardinal basis over the
-    patch, including the surface measure; metadata pins the grid the rows
-    were built for.
-    """
-
-    patch_id: int
-    k: float
-    n: int
-    kind: str
-    weights: np.ndarray  # (n*n, n*n) complex, row per target node
 
 
 def _grid_nodes(n: int, kind: str):
@@ -128,58 +104,42 @@ def _grid_nodes(n: int, kind: str):
     return spectral.fejer_nodes(n), spectral.fejer_weights(n)
 
 
-class _PatchData:
-    """Flattened node frames plus cached oversampled geometry."""
-
-    __slots__ = ("patch", "point", "a_u", "a_v", "normal", "jac", "fine")
-
-    def __init__(self, patch, nodes):
-        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-        fr = patch.frames(uu.ravel(), vv.ravel())
-        self.patch = patch
-        self.point = fr.point
-        self.a_u = fr.a_u
-        self.a_v = fr.a_v
-        self.normal = fr.normal
-        self.jac = fr.jac
-        self.fine = {}
-
-    def fine_level(self, m: int):
-        if m not in self.fine:
-            g = spectral.cc_nodes(m)
-            uu, vv = np.meshgrid(g, g, indexing="ij")
-            fr = self.patch.frames(uu.ravel(), vv.ravel())
-            w2 = np.outer(spectral.cc_weights(m), spectral.cc_weights(m)).ravel()
-            self.fine[m] = (fr.point, fr.normal, w2 * fr.jac)
-        return self.fine[m]
+def _node_frames(surface: Surface, nodes) -> Frames:
+    """Every patch's frames at the tensor nodes, stacked as (M, S, ...) arrays."""
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    frs = [p.frames(uu.ravel(), vv.ravel()) for p in surface.patches]
+    return Frames(*(np.stack([getattr(f, a) for f in frs])
+                    for a in ("point", "a_u", "a_v")))
 
 
-def _patch_data(surface: Surface, nodes):
-    return [_PatchData(p, nodes) for p in surface.patches]
+def _chunks(count: int):
+    return [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
 
 
-def _min_node_distances(targets, pdata) -> np.ndarray:
-    """Minimum distance from each target to each patch's node cloud, (T, M)."""
-    out = np.empty((targets.shape[0], len(pdata)))
-    for p, d in enumerate(pdata):
-        for lo in range(0, targets.shape[0], _CHUNK):
-            hi = min(lo + _CHUNK, targets.shape[0])
-            diff = targets[lo:hi, None, :] - d.point[None, :, :]
+def _min_node_distances(targets, points) -> np.ndarray:
+    """Minimum distance from each target to each patch's node cloud, (T, M).
+
+    points: (M, S, 3) node points per patch.
+    """
+    out = np.empty((targets.shape[0], points.shape[0]))
+    for p, pts in enumerate(points):
+        for lo, hi in _chunks(targets.shape[0]):
+            diff = targets[lo:hi, None, :] - pts[None, :, :]
             out[lo:hi, p] = np.sqrt(np.einsum("tsc,tsc->ts", diff, diff)).min(axis=1)
     return out
 
 
-def _zone_pairs(targets, pdata, diameters, n, config, on_sets):
+def _zone_pairs(grid):
     """Fan and oversample (target, patch) pairs, excluding on-patch pairs."""
-    dmin = _min_node_distances(targets, pdata)
+    dmin = _min_node_distances(grid.target_points, grid.frames.point)
     # node clouds only over-estimate the true distance; widen the bands by
     # half the coarsest node gap so borderline pairs get the better rule
-    slack = 0.5 * np.pi / (2 * (n - 1))
-    fan_cut = (config.fan_threshold + slack) * diameters
-    near_cut = (config.near_threshold + slack) * diameters
+    slack = 0.5 * np.pi / (2 * (grid.n - 1))
+    fan_cut = (_FAN_THRESHOLD + slack) * grid.diameters
+    near_cut = (_NEAR_THRESHOLD + slack) * grid.diameters
+    on_sets = grid.on_patch_sets()
     fan_pairs, mid_pairs = [], []
-    for t in range(targets.shape[0]):
-        row = dmin[t]
+    for t, row in enumerate(dmin):
         for p in np.nonzero(row < near_cut)[0]:
             p = int(p)
             if p in on_sets[t]:
@@ -193,43 +153,50 @@ def _node_apex(nodes, node: int):
     return float(nodes[node // n]), float(nodes[node % n])
 
 
-def _onpatch_rows(patches, k: float, n: int, kind: str, tol: float):
-    """Scalar fan rows of every on-patch target, (M, S, S), and ladder misses.
+def _onpatch_rows(grid, pairs, kernel, zero_components=()):
+    """Fan rows of on-patch (target, patch, flat node) pairs, and ladder misses.
 
-    Node-major, so consecutive rows share their apex and its fan levels.
+    kernel(t, x) is the integrand weights_on_patch takes, (points, normals)
+    -> values, for target t placed at x, the node itself on patch p.
+    zero_components lists the components of the target node's own entry
+    that are zeroed (weights_on_patch's zero_entries).  Rows are stacked in
+    the order of pairs but computed node-major, so consecutive rows share
+    their apex and its fan levels.
     """
-    nodes, _ = _grid_nodes(n, kind)
-    rows = np.empty((len(patches), n * n, n * n), dtype=complex)
+    rows = [None] * len(pairs)
     levels, misses = FanLevels(), 0
-    for node in range(n * n):
-        apex = _node_apex(nodes, node)
-        for p, patch in enumerate(patches):
-            target = patch.point(np.array(apex[0]), np.array(apex[1]))
-            rows[p, node], ok = weights_on_patch(
-                patch, nodes, lambda pts, nrm: green(target, pts, k), apex,
-                tol=tol, levels=levels)
-            misses += not ok
-    return rows, misses
+    for i in sorted(range(len(pairs)), key=lambda i: (pairs[i][2], pairs[i][1])):
+        t, p, node = pairs[i]
+        rows[i], ok = weights_on_patch(
+            grid.surface.patches[p], grid.nodes, kernel(t, grid.frames.point[p, node]),
+            _node_apex(grid.nodes, node), tol=_QUAD_TOL, levels=levels,
+            zero_entries=tuple((node, c) for c in zero_components))
+        misses += not ok
+    return np.array(rows), misses
 
 
-def precompute_singular(patch, k: float, n: int, kind: str = "closed",
-                        patch_id: int = 0, tol: float = 1e-12) -> SingularCorrection:
-    """Fan-quadrature weight rows for every on-patch target node."""
-    rows, _ = _onpatch_rows([patch], k, n, kind, tol)
-    return SingularCorrection(patch_id, k, n, kind, rows[0])
+def _fine_level(patch, m: int):
+    """Points, normals and weighted Jacobians on patch's m x m CC grid."""
+    g = spectral.cc_nodes(m)
+    uu, vv = np.meshgrid(g, g, indexing="ij")
+    fr = patch.frames(uu.ravel(), vv.ravel())
+    w2 = np.outer(spectral.cc_weights(m), spectral.cc_weights(m)).ravel()
+    return fr.point, fr.normal, w2 * fr.jac
 
 
-def _oversample_rows(pdat: _PatchData, kernel, n: int, nodes, config: OperatorConfig):
+def _oversample_rows(fine, kernel, nodes):
     """Weights against the coarse basis via kernel quadrature on fine grids.
 
-    Returns (weights, converged), as weights_on_patch does: converged is
-    False when the last refinement still moved a weight by more than
-    10 quad_tol (relative to max(1, max |weight|)).
+    fine(m) gives _fine_level of the patch for an m x m grid.  Returns
+    (weights, converged), as weights_on_patch does: converged is False when
+    the last refinement still moved a weight by more than 10 _QUAD_TOL
+    (relative to max(1, max |weight|)).
     """
+    n = len(nodes)
     prev = None
-    for lvl in range(1, config.max_levels + 1):
-        m = n * config.refine_factor**lvl
-        pts, nrm, wjac = pdat.fine_level(m)
+    for lvl in range(1, _MAX_LEVELS + 1):
+        m = n * _REFINE_FACTOR**lvl
+        pts, nrm, wjac = fine(m)
         vals = np.asarray(kernel(pts, nrm))
         r1 = spectral.interp_matrix(np.asarray(nodes), spectral.cc_nodes(m))
         if vals.ndim == 1:
@@ -240,7 +207,7 @@ def _oversample_rows(pdat: _PatchData, kernel, n: int, nodes, config: OperatorCo
             cur = np.einsum("fa,gb,fgx->abx", r1, r1, f).reshape(n * n, -1)
         if prev is not None:
             scale = max(1.0, float(np.abs(cur).max()))
-            if float(np.abs(cur - prev).max()) <= 10 * config.quad_tol * scale:
+            if float(np.abs(cur - prev).max()) <= 10 * _QUAD_TOL * scale:
                 return cur, True
         prev = cur
     return prev, False
@@ -257,41 +224,49 @@ class _CongruentRows:
     target's patch-frame position bucketed at _BUCKET x diameter, and a hit
     also needs the stored position within _CONGRUENT x diameter.  Vector rows
     (kernel gradients) are stored in the patch frame and rotated back on use.
-    A table lives for one build only.  Computed rows whose ladder ran out
-    are counted in unconverged.
+    A table lives for one build only, and so does its cache of oversampled
+    patch grids.  Computed rows whose ladder ran out are counted in
+    unconverged.
     """
 
-    def __init__(self, pdata, nodes, diameters, k, config: OperatorConfig):
-        self.pdata, self.nodes, self.diameters = pdata, nodes, diameters
-        self.k, self.config = k, config
-        m = len(pdata)
+    def __init__(self, grid, k):
+        self.grid, self.k = grid, k
+        m = grid.surface.n_patches
         self.origin = np.empty((m, 3))
         self.rot = np.empty((m, 3, 3))  # rows: the frame axes
         self.cls = np.empty(m, dtype=np.int64)
         self.scale = np.empty(m)  # diameter of the class representative
         reps = []  # (diameter, patch-frame cloud) per class
         uv = np.vstack([[0.0, 0.0], _PROBE_UV])
-        for p, d in enumerate(pdata):
-            fr = d.patch.frames(uv[:, 0], uv[:, 1])
+        for p, patch in enumerate(grid.surface.patches):
+            fr = patch.frames(uv[:, 0], uv[:, 1])
             e1 = fr.a_u[0] / np.linalg.norm(fr.a_u[0])
             e2 = fr.a_v[0] - (fr.a_v[0] @ e1) * e1
             e2 /= np.linalg.norm(e2)
             rot = np.stack([e1, e2, np.cross(e1, e2)])
-            local = (np.concatenate([d.point, fr.point[1:]]) - fr.point[0]) @ rot.T
-            tol = _CONGRUENT * diameters[p]
+            cloud = np.concatenate([grid.frames.point[p], fr.point[1:]])
+            local = (cloud - fr.point[0]) @ rot.T
+            diam = grid.diameters[p]
+            tol = _CONGRUENT * diam
             for c, (dc, lc) in enumerate(reps):
-                if abs(dc - diameters[p]) <= tol and np.abs(local - lc).max() <= tol:
+                if abs(dc - diam) <= tol and np.abs(local - lc).max() <= tol:
                     break
             else:
                 c = len(reps)
-                reps.append((diameters[p], local))
+                reps.append((diam, local))
             self.origin[p], self.rot[p] = fr.point[0], rot
             self.cls[p], self.scale[p] = c, reps[c][0]
         self.n_classes = len(reps)
         self.table = {}
+        self.fine = {}  # (patch, m) -> _fine_level
         self.requested = {"fan": 0, "mid": 0}
         self.computed = {"fan": 0, "mid": 0}
         self.unconverged = 0
+
+    def _fine(self, p: int, m: int):
+        if (p, m) not in self.fine:
+            self.fine[p, m] = _fine_level(self.grid.surface.patches[p], m)
+        return self.fine[p, m]
 
     def row(self, zone: str, x_t, p: int, kernel):
         """Weights of kernel(x_t, y, k) times the cardinal basis over patch p.
@@ -307,16 +282,16 @@ class _CongruentRows:
         hit = self.table.get(key)
         if hit is not None and np.abs(hit[0] - local).max() <= _CONGRUENT * scale:
             return hit[1] @ rot if hit[1].ndim == 2 else hit[1]
-        d, k, cfg = self.pdata[p], self.k, self.config
+        g, k = self.grid, self.k
+        patch = g.surface.patches[p]
         if zone == "fan":
-            u0, v0, dist = nearest_preimage(d.patch, x_t)
-            row, ok = weights_on_patch(d.patch, self.nodes,
+            u0, v0, dist = nearest_preimage(patch, x_t)
+            row, ok = weights_on_patch(patch, g.nodes,
                                        lambda pts, nrm: kernel(x_t, pts, k), (u0, v0),
-                                       tol=cfg.quad_tol,
-                                       peak=dist / (0.5 * self.diameters[p]))
+                                       tol=_QUAD_TOL, peak=dist / (0.5 * g.diameters[p]))
         else:
-            row, ok = _oversample_rows(d, lambda pts, nrm: kernel(x_t, pts, k),
-                                       len(self.nodes), self.nodes, cfg)
+            row, ok = _oversample_rows(lambda m: self._fine(p, m),
+                                       lambda pts, nrm: kernel(x_t, pts, k), g.nodes)
         self.computed[zone] += 1
         self.unconverged += not ok
         if hit is None:
@@ -334,74 +309,62 @@ class _CongruentRows:
         return out
 
 
-def _base_scalar_matrix(targets, src_points, src_wjac, k) -> np.ndarray:
-    """Plain-rule single-layer matrix with coincident entries zeroed."""
-    out = np.empty((targets.shape[0], src_points.shape[0]), dtype=complex)
-    for lo in range(0, targets.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, targets.shape[0])
-        d = targets[lo:hi, None, :] - src_points[None, :, :]
-        r = np.sqrt(np.einsum("tsc,tsc->ts", d, d))
-        hit = r < _COINCIDENT
-        r[hit] = 1.0
-        g = np.exp(1j * k * r) / (4 * np.pi * r)
-        g[hit] = 0.0
-        out[lo:hi] = g * src_wjac[None, :]
-    return out
+def _corrected_rows(grid, k, kernel, onpatch_kernel, zero_components=()):
+    """The corrected (target, patch) blocks of one kernel, and build stats.
 
-
-def _layer_matrix(targets, table: _CongruentRows, on_pairs, corrections) -> np.ndarray:
-    """Dense single-layer matrix: plain rule plus zone corrections."""
-    pdata, nodes = table.pdata, table.nodes
-    n = len(nodes)
-    s = n * n
-    w1 = _grid_nodes(n, corrections[0].kind)[1]
-    w2 = np.outer(w1, w1).ravel()
-    src_points = np.concatenate([d.point for d in pdata])
-    src_wjac = np.concatenate([w2 * d.jac for d in pdata])
-    mat = _base_scalar_matrix(targets, src_points, src_wjac, table.k)
-    on_sets = [set() for _ in range(targets.shape[0])]
-    for t, p, node in on_pairs:
-        mat[t, p * s:(p + 1) * s] = corrections[p].weights[node]
-        on_sets[t].add(p)
-    zones = _zone_pairs(targets, pdata, table.diameters, n, table.config, on_sets)
-    for zone, pairs in zip(("fan", "mid"), zones):
-        for t, p in pairs:
-            mat[t, p * s:(p + 1) * s] = table.row(zone, targets[t], p, green)
-    return mat
-
-
-def single_layer(sources, targets, surface: Surface, corrections,
-                 config: OperatorConfig | None = None):
-    """Single-layer potential of per-patch density grids at arbitrary points.
-
-    sources: (M, n, n) scalar or (M, n, n, 3) Cartesian-vector samples on the
-    grid family the corrections were built for.  Targets sitting on a grid
-    node use that patch's correction row; other targets are classified by
-    distance.  Returns (T,) or (T, 3) values.
+    On-patch pairs come from grid.on_patch_pairs(), their rows from
+    _onpatch_rows with onpatch_kernel and zero_components.  Fan and mid
+    pairs come from _zone_pairs, their rows of kernel (green or
+    green_gradient) from _CongruentRows.  Returns the on-patch (target,
+    patch) pairs, their stacked rows, the fan and mid pairs, a list of their
+    rows and the build_stats dict.
     """
-    corrections = list(corrections)
-    if len(corrections) != surface.n_patches:
-        raise ValueError("need one correction per patch")
-    n, kind, k = corrections[0].n, corrections[0].kind, corrections[0].k
-    dens = np.asarray(sources, dtype=complex)
-    if dens.shape[:3] != (surface.n_patches, n, n):
-        raise ValueError("density grids do not match the correction grid")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    nodes, _ = _grid_nodes(n, kind)
-    pdata = _patch_data(surface, nodes)
-    diameters = surface.patch_diameters()
-    # a target within rounding distance of a node is that node
-    on_pairs = []
-    for p, d in enumerate(pdata):
-        diff = targets[:, None, :] - d.point[None, :, :]
-        dist = np.sqrt(np.einsum("tsc,tsc->ts", diff, diff))
-        hits = np.nonzero(dist < 1e-9 * diameters[p])
-        on_pairs.extend((int(t), p, int(node)) for t, node in zip(*hits))
-    cfg = config or OperatorConfig(variant=CLOSED if kind == "closed" else OPEN)
-    table = _CongruentRows(pdata, nodes, diameters, k, cfg)
-    mat = _layer_matrix(targets, table, on_pairs, corrections)
-    out = mat @ dens.reshape(surface.n_patches * n * n, -1)
-    return out[:, 0] if dens.ndim == 3 else out
+    on = grid.on_patch_pairs()
+    on_rows, misses = _onpatch_rows(grid, on, onpatch_kernel, zero_components)
+    table = _CongruentRows(grid, k)
+    near, near_rows = [], []
+    for zone, pairs in zip(("fan", "mid"), _zone_pairs(grid)):
+        for t, p in pairs:
+            near.append((t, p))
+            near_rows.append(table.row(zone, grid.target_points[t], p, kernel))
+    stats = table.stats(len(on), misses)
+    return [(t, p) for t, p, _ in on], on_rows, near, near_rows, stats
+
+
+class _Corrected:
+    """Corrected rows of (target, patch) pairs, written over plain-rule blocks.
+
+    rows[i], (S,) or (S, c), replaces the entries of target t[i] against the
+    S source nodes of patch p[i].
+    """
+
+    def __init__(self, pairs, rows):
+        self.t = np.array([t for t, _ in pairs], dtype=np.int64)
+        self.p = np.array([p for _, p in pairs], dtype=np.int64)
+        self.rows = rows
+
+    def write(self, block, lo: int):
+        """Overwrite the held pairs in block, whose rows are targets lo, lo + 1, ...
+
+        block is (targets, M S) or (targets, M S, c), C-ordered.
+        """
+        sel = (self.t >= lo) & (self.t < lo + block.shape[0])
+        view = block.reshape(block.shape[0], -1, self.rows.shape[1], *block.shape[2:])
+        view[self.t[sel] - lo, self.p[sel]] = self.rows[sel]
+
+
+def _plain_block(kernel, grid, k, lo: int, hi: int) -> np.ndarray:
+    """Plain-rule kernel values times source weights, targets lo:hi by all nodes.
+
+    kernel (green or green_gradient) is evaluated on the difference vectors,
+    giving (c, M S) or (c, M S, 3).  A pair at r == 0 exactly is an on-patch
+    pair, whose entry its corrected row always overwrites, so its difference
+    is replaced by a unit-scale vector only to keep the kernel finite.
+    """
+    d = grid.target_points[lo:hi, None, :] - grid.src_points[None, :, :]
+    d[~d.any(axis=-1)] = 1.0
+    vals = kernel(d, 0.0, k)
+    return vals * (grid.src_wjac[:, None] if vals.ndim == 3 else grid.src_wjac)
 
 
 def _divergence_grids(grids, jac, diff):
@@ -423,8 +386,7 @@ def surface_divergence(density, surface: Surface, n: int, kind: str = "closed"):
     nodes, _ = _grid_nodes(n, kind)
     grids = topology.full_to_grids(np.asarray(density, dtype=complex),
                                    surface.n_patches, n)
-    pdata = _patch_data(surface, nodes)
-    jac = np.stack([d.jac.reshape(n, n) for d in pdata])
+    jac = _node_frames(surface, nodes).jac.reshape(-1, n, n)
     return _divergence_grids(grids, jac, spectral.diff_matrix(nodes))
 
 
@@ -441,14 +403,11 @@ class _Grid:
         self.kind = kind
         self.nodes, w1 = _grid_nodes(n, kind)
         self.diff = spectral.diff_matrix(self.nodes)
-        self.w2 = np.outer(w1, w1).ravel()
-        self.data = _patch_data(surface, self.nodes)
+        self.frames = _node_frames(surface, self.nodes)
         self.diameters = surface.patch_diameters()
-        self.src_points = np.concatenate([d.point for d in self.data])
-        self.src_wjac = np.concatenate([self.w2 * d.jac for d in self.data])
-        self.jac_grids = np.stack([d.jac.reshape(n, n) for d in self.data])
-        self.frames = Frames(*(np.stack([getattr(d, a) for d in self.data])
-                               for a in ("point", "a_u", "a_v")))
+        self.src_points = self.frames.point.reshape(-1, 3)
+        self.src_wjac = (np.outer(w1, w1).ravel() * self.frames.jac).ravel()
+        self.jac_grids = self.frames.jac.reshape(-1, n, n)
         m, s = surface.n_patches, n * n
         if kind == "closed":
             self.groups = topology.build_coincidence(surface, n)
@@ -493,14 +452,14 @@ class _Grid:
 
     def target_normals(self):
         if self.kind == "open":
-            return np.concatenate([d.normal for d in self.data])
+            return self.frames.normal.reshape(-1, 3)
         out = np.empty((self.n_targets, 3))
         for t, grp in enumerate(self.groups):
             if grp.normal is not None:
                 out[t] = grp.normal
             else:
                 p, iu, iv = grp.members[0]
-                out[t] = self.data[p].normal[iu * self.n + iv]
+                out[t] = self.frames.normal[p, iu * self.n + iv]
         return out
 
     def expand(self, x):
@@ -515,13 +474,13 @@ class _Grid:
         The per-vector form of the Cartesian rows of source, kept as the
         staged reference that the sparse map is tested against.
         """
-        flat = grids.reshape(len(self.data), self.n**2, 2)
+        flat = grids.reshape(self.surface.n_patches, self.n**2, 2)
         return self.frames.tangential_from_contravariant(flat[..., 0], flat[..., 1])
 
     def full_from_cartesian(self, vec):
         """(M, S, 3) tangential Cartesian field -> flat contravariant vector."""
         ju, jv = self.frames.contravariant_from_cartesian(vec)
-        grids = np.stack([ju, jv], axis=-1).reshape(len(self.data), self.n, self.n, 2)
+        grids = np.stack([ju, jv], axis=-1).reshape(-1, self.n, self.n, 2)
         return topology.grids_to_full(grids)
 
     def surface_gradient(self, phi_full):
@@ -530,7 +489,7 @@ class _Grid:
         The per-vector form of the gradient inside the EFIE target map,
         kept as the staged reference that the sparse map is tested against.
         """
-        m, n = len(self.data), self.n
+        m, n = self.surface.n_patches, self.n
         phi = phi_full.reshape(m, n, n)
         du = np.einsum("ab,mbv->mav", self.diff, phi).reshape(m, n * n)
         dv = np.einsum("ab,mub->mua", self.diff, phi).reshape(m, n * n)
@@ -559,7 +518,7 @@ def _source_map(grid: _Grid):
     holds at most 2n full-vector entries, and P maps each to at most two
     unknowns.
     """
-    m, n, s = len(grid.data), grid.n, grid.n**2
+    m, n, s = grid.surface.n_patches, grid.n, grid.n**2
     full = np.arange(2 * m * s).reshape(m, 2, n, n)  # (patch, comp, iu, iv)
     first = 4 * np.arange(m * s).reshape(m, n, n)
     fr, jac, d = grid.frames, grid.jac_grids, grid.diff
@@ -591,7 +550,7 @@ def _target_map(grid: _Grid, k: float, eta: float):
     contravariant components; Q then averages over coinciding nodes.  A
     full-vector row holds 3 + (2n - 1) entries.
     """
-    m, n, s = len(grid.data), grid.n, grid.n**2
+    m, n, s = grid.surface.n_patches, grid.n, grid.n**2
     fr, d = grid.frames, grid.diff
     scale = 1j * k * eta
     # R = g^-1 [a_u x n; a_v x n]: contravariant components of n x v
@@ -637,7 +596,20 @@ class _GridOperator:
     def cartesian_current(self, x):
         """Unknown vector -> (M, S, 3) Cartesian current samples at nodes."""
         g = self.grid
-        return (g.source @ x).reshape(len(g.data), g.n**2, 4)[..., :3]
+        return (g.source @ x).reshape(g.surface.n_patches, g.n**2, 4)[..., :3]
+
+
+def _single_layer_matrix(grid: _Grid, k: float):
+    """Corrected single-layer matrix S, (T, M S), and its build_stats."""
+    on, on_rows, near, near_rows, stats = _corrected_rows(
+        grid, k, green, lambda t, x: lambda pts, nrm: green(x, pts, k))
+    fix = _Corrected(on + near, np.concatenate(
+        [on_rows, np.reshape(near_rows, (-1, grid.n**2))]))
+    mat = np.empty((grid.n_targets, grid.src_points.shape[0]), dtype=complex)
+    for lo, hi in _chunks(grid.n_targets):
+        mat[lo:hi] = _plain_block(green, grid, k, lo, hi)
+    fix.write(mat, 0)
+    return mat, stats
 
 
 class EfieOperator(_GridOperator):
@@ -651,7 +623,8 @@ class EfieOperator(_GridOperator):
     source map B gives the Cartesian current and its divergence at every
     source node, one dense product with S gives the vector and scalar
     potentials at every target, and the sparse target map C takes them back
-    to the unknowns.
+    to the unknowns.  S is the plain-rule G block with its corrected blocks
+    overwritten.
     """
 
     def __init__(self, surface: Surface, n: int, medium: MediumParams,
@@ -662,16 +635,8 @@ class EfieOperator(_GridOperator):
         self.medium = medium
         self.k = medium.wavenumber
         self.eta = medium.impedance
-        rows, misses = _onpatch_rows(surface.patches, self.k, n, kind,
-                                     self.config.quad_tol)
-        self.corrections = [SingularCorrection(pid, self.k, n, kind, rows[pid])
-                            for pid in range(surface.n_patches)]
-        g = self.grid
-        table = _CongruentRows(g.data, g.nodes, g.diameters, self.k, self.config)
-        self.S = _layer_matrix(g.target_points, table, g.on_patch_pairs(),
-                               self.corrections)
-        self.build_stats = table.stats(surface.n_patches * n * n, misses)
-        self.target_map = _target_map(g, self.k, self.eta)
+        self.S, self.build_stats = _single_layer_matrix(self.grid, self.k)
+        self.target_map = _target_map(self.grid, self.k, self.eta)
 
     def apply(self, x):
         y = self.grid.source @ self._unknowns(x)
@@ -691,6 +656,13 @@ class MfieOperator(_GridOperator):
     own cardinal is removed from the first family (its density factor
     n(x) . J(x) vanishes identically).  Runs on either grid variant; the
     open grid is the reference configuration.
+
+    w3 is the plain-rule grad-G block with its corrected blocks overwritten,
+    and k4 = w3 . n_t with its on-patch blocks overwritten by the
+    normal-projected on-patch rows, which keep the target's own entry.
+    Both are stored when 4 T M S complex numbers fit mem_budget bytes;
+    otherwise apply rebuilds them per _CHUNK target rows from the stored
+    corrected rows.
     """
 
     def __init__(self, surface: Surface, n: int, medium: MediumParams,
@@ -701,124 +673,50 @@ class MfieOperator(_GridOperator):
         self.medium = medium
         self.k = medium.wavenumber
         self.eta = medium.impedance
-        g = self.grid
-        self._tnormals = g.target_normals()
-        self.materialized = 4 * g.n_targets * g.src_points.shape[0] * 16 <= mem_budget
-        self._build_corrections()
-        if self.materialized:
-            self._build_dense()
-
-    def _build_corrections(self):
-        """Sparse zone corrections for the four kernel families.
-
-        Stored as corrected-minus-base so a plain-rule product plus the
-        sparse term gives the corrected product without masking.
-        """
-        g, k, cfg = self.grid, self.k, self.config
-        n = g.n
-        s = n * n
-        on_pairs = g.on_patch_pairs()
-        zones = _zone_pairs(g.target_points, g.data, g.diameters, n, cfg,
-                            g.on_patch_sets())
-        table = _CongruentRows(g.data, g.nodes, g.diameters, k, cfg)
-        rows, cols, vals_g, vals_k = [], [], [], []
-
-        def push(t, p, wg, wk):
-            rows.extend([t] * s)
-            cols.extend(range(p * s, (p + 1) * s))
-            vals_g.append(wg)
-            vals_k.append(wk)
-
-        levels, misses = FanLevels(), 0
-        for t, p, node in sorted(on_pairs, key=lambda pair: (pair[2], pair[1])):
-            x_t = g.target_points[t]
-            n_t = self._tnormals[t]
-            apex = _node_apex(g.nodes, node)
-
-            def kern(pts, nrm, x_t=x_t, n_t=n_t):
-                gr = green_gradient(x_t, pts, k)
-                return np.concatenate([gr, gr @ n_t[:, None]], axis=1)
-
-            # the target cardinal is excluded from the gradient family: its
-            # density factor n(x).J(x) is identically zero and the integral
-            # diverges; the normal-projected component stays weakly singular
-            w4, ok = weights_on_patch(g.data[p].patch, g.nodes, kern, apex,
-                                      tol=cfg.quad_tol, levels=levels,
-                                      zero_entries=((node, 0), (node, 1), (node, 2)))
-            misses += not ok
-            push(t, p, np.ascontiguousarray(w4[:, :3]), w4[:, 3].copy())
-        for zone, pairs in zip(("fan", "mid"), zones):
-            for t, p in pairs:
-                wg = table.row(zone, g.target_points[t], p, green_gradient)
-                push(t, p, wg, wg @ self._tnormals[t])
-        self.build_stats = table.stats(len(on_pairs), misses)
-        rows = np.array(rows, dtype=np.int64)
-        cols = np.array(cols, dtype=np.int64)
-        vals_g = np.concatenate(vals_g) if len(vals_g) else np.zeros((0, 3), dtype=complex)
-        vals_k = np.concatenate(vals_k) if len(vals_k) else np.zeros(0, dtype=complex)
-        # subtract the plain-rule values at the corrected pairs
-        d = g.target_points[rows] - g.src_points[cols]
-        r = np.sqrt(np.einsum("qc,qc->q", d, d))
-        ok = r > _COINCIDENT
-        base = np.zeros((rows.size, 3), dtype=complex)
-        base[ok] = (np.exp(1j * k * r[ok]) * (1j * k * r[ok] - 1.0)
-                    / (4 * np.pi * r[ok] ** 3))[:, None] * d[ok] \
-            * g.src_wjac[cols[ok], None]
-        vals_g = vals_g - base
-        vals_k = vals_k - np.einsum("qc,qc->q", base, self._tnormals[rows])
-        shape = (g.n_targets, g.src_points.shape[0])
-        self._dg = [sparse.csr_matrix((vals_g[:, i], (rows, cols)), shape=shape)
-                    for i in range(3)]
-        self._dk = sparse.csr_matrix((vals_k, (rows, cols)), shape=shape)
-
-    def _gradient_block(self, lo, hi):
-        """Plain-rule grad-G kernel values times source weights, (c, S, 3)."""
         g, k = self.grid, self.k
-        d = g.target_points[lo:hi, None, :] - g.src_points[None, :, :]
-        r = np.sqrt(np.einsum("tsc,tsc->ts", d, d))
-        hit = r < _COINCIDENT
-        r[hit] = 1.0
-        b = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4 * np.pi * r**3)
-        b[hit] = 0.0
-        return (b * g.src_wjac[None, :])[..., None] * d
+        nt = self._tnormals = g.target_normals()
 
-    def _build_dense(self):
-        g = self.grid
-        nt = self._tnormals
-        w3 = np.empty((g.n_targets, g.src_points.shape[0], 3), dtype=complex)
-        for lo in range(0, g.n_targets, _CHUNK):
-            hi = min(lo + _CHUNK, g.n_targets)
-            w3[lo:hi] = self._gradient_block(lo, hi)
-        k4 = np.einsum("tsc,tc->ts", w3, nt) + self._dk.toarray()
-        for i in range(3):
-            w3[..., i] += self._dg[i].toarray()
-        self._w3 = w3
-        self._k4 = k4
+        def onpatch_kernel(t, x):  # the target's point, which its normal belongs to
+            def kern(pts, nrm):
+                gr = green_gradient(g.target_points[t], pts, k)
+                return np.concatenate([gr, gr @ nt[t][:, None]], axis=1)
+            return kern
+
+        # the target cardinal is excluded from the gradient family: its
+        # density factor n(x).J(x) is identically zero and the integral
+        # diverges; the normal-projected component stays weakly singular
+        on, on_rows, near, near_rows, self.build_stats = _corrected_rows(
+            g, k, green_gradient, onpatch_kernel, zero_components=(0, 1, 2))
+        self._grad = _Corrected(on + near, np.concatenate(
+            [on_rows[..., :3], np.reshape(near_rows, (-1, n * n, 3))]))
+        self._normal = _Corrected(on, on_rows[..., 3])
+        shape = (g.n_targets, g.src_points.shape[0])
+        self.materialized = 4 * shape[0] * shape[1] * 16 <= mem_budget
+        if self.materialized:
+            self._w3 = np.empty(shape + (3,), dtype=complex)
+            self._k4 = np.empty(shape, dtype=complex)
+            for lo, hi in _chunks(g.n_targets):
+                self._w3[lo:hi], self._k4[lo:hi] = self._blocks(lo, hi)
+
+    def _blocks(self, lo, hi):
+        """Corrected w3 and k4 rows of targets lo:hi."""
+        w3 = _plain_block(green_gradient, self.grid, self.k, lo, hi)
+        self._grad.write(w3, lo)
+        k4 = np.einsum("tsc,tc->ts", w3, self._tnormals[lo:hi])
+        self._normal.write(k4, lo)
+        return w3, k4
 
     def _integral(self, j_flat):
         """term1 - term2 at all targets for Cartesian samples (MS, 3)."""
-        g = self.grid
         nt = self._tnormals
-        if self.materialized:
-            q = nt @ j_flat.T  # (T, S): target-normal dot each source sample
-            term1 = np.einsum("tsc,ts->tc", self._w3, q)
-            return term1 - self._k4 @ j_flat
-        out = np.empty((g.n_targets, 3), dtype=complex)
-        for lo in range(0, g.n_targets, _CHUNK):
-            hi = min(lo + _CHUNK, g.n_targets)
-            g3 = self._gradient_block(lo, hi)
-            q = nt[lo:hi] @ j_flat.T
-            term1 = np.einsum("tsc,ts->tc", g3, q)
-            k4 = np.einsum("tsc,tc->ts", g3, nt[lo:hi])
-            out[lo:hi] = term1 - k4 @ j_flat
-        # sparse corrected-minus-base contributions
-        add = np.zeros((g.n_targets, 3), dtype=complex)
-        for i in range(3):
-            coo = self._dg[i].tocoo()
-            qv = np.einsum("qc,qc->q", nt[coo.row], j_flat[coo.col])
-            np.add.at(add[:, i], coo.row, coo.data * qv)
-        out += add
-        out -= self._dk @ j_flat
+        out = np.empty((self.grid.n_targets, 3), dtype=complex)
+        for lo, hi in _chunks(self.grid.n_targets):
+            if self.materialized:
+                w3, k4 = self._w3[lo:hi], self._k4[lo:hi]
+            else:
+                w3, k4 = self._blocks(lo, hi)
+            q = nt[lo:hi] @ j_flat.T  # target normal dot each source sample
+            out[lo:hi] = np.einsum("tsc,ts->tc", w3, q) - k4 @ j_flat
         return out
 
     def apply(self, x):
@@ -832,22 +730,3 @@ class MfieOperator(_GridOperator):
         """Project n x H_inc onto the unknown space."""
         g = self.grid
         return g.project(np.cross(g.frames.normal, g.sample(hfield_fn)))
-
-
-def efie_forward(x, operator: EfieOperator):
-    """Continuity-enforced electric-field forward map on the unique space."""
-    if operator.config.variant != CLOSED:
-        raise ValueError("operator was built for the open variant")
-    return operator.apply(x)
-
-
-def efie_forward_open(x, operator: EfieOperator):
-    """Baseline electric-field forward map on the open grid, no continuity."""
-    if operator.config.variant != OPEN:
-        raise ValueError("operator was built for the closed variant")
-    return operator.apply(x)
-
-
-def mfie_forward(x, operator: MfieOperator):
-    """Magnetic-field forward map (identity/2 plus principal-value term)."""
-    return operator.apply(x)

@@ -24,11 +24,9 @@ __all__ = [
     "FarFieldPattern",
     "plane_wave_eval",
     "plane_wave_hfield",
-    "assemble_rhs",
     "far_field",
     "to_dbsm",
     "mie_reference",
-    "project_current",
 ]
 
 
@@ -66,19 +64,6 @@ def plane_wave_hfield(pw: PlaneWave, r) -> np.ndarray:
     """Incident magnetic field (1/eta) d x E at points r (..., 3)."""
     e = plane_wave_eval(pw, r)
     return np.cross(pw.direction, e) / pw.medium.impedance
-
-
-def assemble_rhs(surface: Surface, maps, pw: PlaneWave) -> np.ndarray:
-    """-n x E_inc sampled on the grid and compressed to the unknown space.
-
-    maps: a built electric-field operator (or its grid) holding the
-    projection/compression pair; the open variant passes through unchanged.
-    """
-    grid = getattr(maps, "grid", maps)
-    if grid.surface is not surface:
-        raise ValueError("maps were built for a different surface")
-    e_inc = grid.sample(lambda r: plane_wave_eval(pw, r))
-    return grid.project(-np.cross(grid.frames.normal, e_inc))
 
 
 @dataclass
@@ -124,19 +109,13 @@ def far_field(density, surface: Surface, angles, medium: MediumParams,
         raise ValueError("density length does not match any square grid")
     # the open/closed distinction only changes nodes and weights here
     nodes, w1 = ops._grid_nodes(n, kind)
-    pdata = ops._patch_data(surface, nodes)
-    w2 = np.outer(w1, w1).ravel()
+    fr = ops._node_frames(surface, nodes)
     k = medium.wavenumber
     eta = medium.impedance
-    grids = topology.full_to_grids(density, m, n)
-    j = np.empty((m, n * n, 3), dtype=complex)
-    wjac = np.empty((m, n * n))
-    for p, d in enumerate(pdata):
-        flat = grids[p].reshape(n * n, 2)
-        j[p] = flat[:, 0, None] * d.a_u + flat[:, 1, None] * d.a_v
-        wjac[p] = w2 * d.jac
-    j = j.reshape(m * n * n, 3)
-    pts = np.concatenate([d.point for d in pdata])
+    grids = topology.full_to_grids(density, m, n).reshape(m, n * n, 2)
+    j = fr.tangential_from_contravariant(grids[..., 0], grids[..., 1]).reshape(-1, 3)
+    wjac = np.outer(w1, w1).ravel() * fr.jac
+    pts = fr.point.reshape(-1, 3)
     rhat = _unit_radial(angles[:, 0], angles[:, 1])
     phases = np.exp(-1j * k * (rhat @ pts.T))  # (A, sources)
     raw = phases @ (wjac.reshape(-1, 1) * j)  # (A, 3)
@@ -256,9 +235,3 @@ def mie_reference(diameter: float, pw: PlaneWave, max_order: int = 120):
     rcs.coefficients = (a_n.copy(), b_n.copy())
     rcs.order = order
     return sampler, rcs
-
-
-def project_current(sampler, operator) -> np.ndarray:
-    """Sample a Cartesian surface current onto an operator's unknown space."""
-    g = operator.grid
-    return g.project(g.sample(sampler))

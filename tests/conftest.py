@@ -67,7 +67,7 @@ def efie_solve(efie_op, plane_wave):
         key = (n, variant, tol)
         if key not in cache:
             op = efie_op(n, variant)
-            rhs = physics.assemble_rhs(op.grid.surface, op, plane_wave)
+            rhs = op.rhs(lambda r: physics.plane_wave_eval(plane_wave, r))
             cache[key] = (op, gmres(op.apply, rhs, tol,
                                     restart=2000, max_iter=2000))
         return cache[key]
@@ -84,8 +84,8 @@ def mie_forward_error(efie_op, plane_wave, mie):
         key = (n, variant)
         if key not in cache:
             op = efie_op(n, variant)
-            x = physics.project_current(mie[0], op)
-            rhs = physics.assemble_rhs(op.grid.surface, op, plane_wave)
+            x = op.grid.project(op.grid.sample(mie[0]))
+            rhs = op.rhs(lambda r: physics.plane_wave_eval(plane_wave, r))
             cache[key] = float(np.linalg.norm(op.apply(x) - rhs)
                                / np.linalg.norm(rhs))
         return cache[key]

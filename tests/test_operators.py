@@ -23,21 +23,20 @@ from nyscat.kernels.operators import (
     EfieOperator,
     MfieOperator,
     OperatorConfig,
+    _QUAD_TOL,
     _CongruentRows,
     _Grid,
     _divergence_grids,
+    _fine_level,
+    _onpatch_rows,
     _oversample_rows,
-    _patch_data,
+    _single_layer_matrix,
     _source_map,
     _target_map,
     _zone_pairs,
-    efie_forward,
-    efie_forward_open,
-    mfie_forward,
-    precompute_singular,
-    single_layer,
     surface_divergence,
 )
+from nyscat.solver import gmres
 
 K0 = 2.0 * np.pi  # unit wavelength
 
@@ -170,24 +169,28 @@ def _adaptive_patch_integral(patch, k, apex_uv, rho, rtol=1e-12):
 
 @pytest.fixture(scope="module")
 def sphere_correction():
-    patch = make_sphere(2.0).patches[0]
-    return patch, precompute_singular(patch, K0, 10, "closed")
+    """(patch, on-patch G rows of its nodes in node order) on the n = 10 grid."""
+    g = _Grid(make_sphere(2.0), 10, "closed")
+    pairs = sorted((pr for pr in g.on_patch_pairs() if pr[1] == 0), key=lambda pr: pr[2])
+    rows, _ = _onpatch_rows(
+        g, pairs, lambda t, x: lambda pts, nrm: green(x, pts, K0))
+    return g.surface.patches[0], rows
 
 
 def test_singular_row_constant_density(sphere_correction):
-    patch, corr = sphere_correction
-    n = corr.n
+    patch, weights = sphere_correction
+    n = 10
     nodes = spectral.cc_nodes(n)
     iu, iv = 3, 4
     oracle = _adaptive_patch_integral(patch, K0, (nodes[iu], nodes[iv]),
                                       lambda u, v: 1.0)
-    got = corr.weights[iu * n + iv].sum()
+    got = weights[iu * n + iv].sum()
     assert abs(got - oracle) / abs(oracle) < 1e-10
 
 
 def test_singular_row_polynomial_density(sphere_correction):
-    patch, corr = sphere_correction
-    n = corr.n
+    patch, weights = sphere_correction
+    n = 10
     nodes = spectral.cc_nodes(n)
     iu, iv = 3, 4
 
@@ -196,15 +199,15 @@ def test_singular_row_polynomial_density(sphere_correction):
 
     oracle = _adaptive_patch_integral(patch, K0, (nodes[iu], nodes[iv]), rho)
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    got = corr.weights[iu * n + iv] @ rho(uu, vv).ravel()
+    got = weights[iu * n + iv] @ rho(uu, vv).ravel()
     assert abs(got - oracle) / abs(oracle) < 1e-9
 
 
 def test_singular_weights_finite_and_bounded(sphere_correction):
-    _, corr = sphere_correction
-    assert np.all(np.isfinite(corr.weights))
+    _, weights = sphere_correction
+    assert np.all(np.isfinite(weights))
     area = 4 * np.pi / 6  # one sixth of the unit sphere
-    assert np.abs(corr.weights).max() < 1e3 * area / corr.n**2
+    assert np.abs(weights).max() < 1e3 * area / 10**2
 
 
 # ---------------------------------------------------------------------------
@@ -212,56 +215,23 @@ def test_singular_weights_finite_and_bounded(sphere_correction):
 
 
 def _sphere_layer_values(k, n):
-    surf = make_sphere(2.0)
-    corr = [precompute_singular(p, k, n, "closed", pid)
-            for pid, p in enumerate(surf.patches)]
-    nodes = spectral.cc_nodes(n)
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    targets = np.concatenate([p.point(uu.ravel(), vv.ravel())
-                              for p in surf.patches])
-    return surf, corr, targets
+    """Corrected single-layer matrix of the closed unit-sphere grid times rho = 1."""
+    mat, _ = _single_layer_matrix(_Grid(make_sphere(2.0), n, "closed"), k)
+    return mat @ np.ones(mat.shape[1])
 
 
 def test_single_layer_uniform_density_oscillatory():
     # unit sphere, rho = 1: potential a(e^{2ika}-1)/(2ika) at every node
-    k, n = 1.0, 12
-    surf, corr, targets = _sphere_layer_values(k, n)
-    vals = single_layer(np.ones((6, n, n)), targets, surf, corr)
+    k = 1.0
+    vals = _sphere_layer_values(k, 12)
     exact = (np.exp(2j * k) - 1.0) / (2j * k)
     assert np.abs(vals - exact).max() / abs(exact) < 1e-8
 
 
 def test_single_layer_uniform_density_static():
     # k = 0: classical uniform layer, potential equal to the radius
-    n = 12
-    surf, corr, targets = _sphere_layer_values(0.0, n)
-    vals = single_layer(np.ones((6, n, n)), targets, surf, corr)
+    vals = _sphere_layer_values(0.0, 12)
     assert np.abs(vals - 1.0).max() < 1e-8
-
-
-def test_single_layer_linearity_and_vector_path():
-    k, n = 1.0, 8
-    surf, corr, targets = _sphere_layer_values(k, n)
-    rng = np.random.default_rng(3)
-    rho = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
-    base = single_layer(rho, targets, surf, corr)
-    scaled = single_layer((2.0 - 0.5j) * rho, targets, surf, corr)
-    assert np.abs(scaled - (2.0 - 0.5j) * base).max() <= 1e-13 * np.abs(base).max()
-    # a Cartesian-vector density is handled componentwise
-    vec = np.zeros((6, n, n, 3), dtype=complex)
-    vec[..., 1] = rho
-    out = single_layer(vec, targets, surf, corr)
-    assert np.abs(out[:, 1] - base).max() < 1e-14 * np.abs(base).max()
-    assert np.abs(out[:, [0, 2]]).max() == 0.0
-
-
-def test_single_layer_requires_matching_corrections():
-    k, n = 1.0, 8
-    surf, corr, targets = _sphere_layer_values(k, n)
-    with pytest.raises(ValueError):
-        single_layer(np.ones((6, n, n)), targets, surf, corr[:-1])
-    with pytest.raises(ValueError):
-        single_layer(np.ones((6, n + 1, n + 1)), targets, surf, corr)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +241,6 @@ def test_single_layer_requires_matching_corrections():
 def test_operator_config_validation():
     with pytest.raises(ValueError):
         OperatorConfig(variant="diagonal")
-    with pytest.raises(ValueError):
-        OperatorConfig(fan_threshold=0.0)
-    with pytest.raises(ValueError):
-        OperatorConfig(fan_threshold=0.5, near_threshold=0.4)
-    with pytest.raises(ValueError):
-        OperatorConfig(near_threshold=1.0)
-    with pytest.raises(ValueError):
-        OperatorConfig(refine_factor=1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +252,8 @@ def test_efie_linearity(efie_op):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
     y = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
-    lhs = efie_forward(2.0 * x + 0.5j * y, op)
-    rhs = 2.0 * efie_forward(x, op) + 0.5j * efie_forward(y, op)
+    lhs = op.apply(2.0 * x + 0.5j * y)
+    rhs = 2.0 * op.apply(x) + 0.5j * op.apply(y)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -300,19 +262,14 @@ def test_efie_output_tangency(efie_op):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
     cart = op.cartesian_current(op.apply(x))
-    for p, d in enumerate(op.grid.data):
-        dots = np.abs(np.einsum("sc,sc->s", cart[p], d.normal.astype(complex)))
+    for p, normal in enumerate(op.grid.frames.normal):
+        dots = np.abs(np.einsum("sc,sc->s", cart[p], normal.astype(complex)))
         mags = np.linalg.norm(cart[p], axis=1)
         assert np.all(dots < 1e-10 * mags)
 
 
 def test_efie_variant_guards(efie_op):
     closed_op = efie_op(8)
-    open_op = efie_op(8, OPEN)
-    with pytest.raises(ValueError):
-        efie_forward(np.zeros(open_op.n_unknowns, complex), open_op)
-    with pytest.raises(ValueError):
-        efie_forward_open(np.zeros(closed_op.n_unknowns, complex), closed_op)
     with pytest.raises(ValueError):
         closed_op.apply(np.zeros(closed_op.n_unknowns + 1, complex))
 
@@ -322,12 +279,12 @@ def test_efie_open_linearity_and_tangency(efie_op):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
     y = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
-    lhs = efie_forward_open(x + 2j * y, op)
-    rhs = efie_forward_open(x, op) + 2j * efie_forward_open(y, op)
+    lhs = op.apply(x + 2j * y)
+    rhs = op.apply(x) + 2j * op.apply(y)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
     cart = op.cartesian_current(op.apply(x))
-    for p, d in enumerate(op.grid.data):
-        dots = np.abs(np.einsum("sc,sc->s", cart[p], d.normal.astype(complex)))
+    for p, normal in enumerate(op.grid.frames.normal):
+        dots = np.abs(np.einsum("sc,sc->s", cart[p], normal.astype(complex)))
         mags = np.linalg.norm(cart[p], axis=1)
         assert np.all(dots < 1e-10 * mags)
 
@@ -359,7 +316,7 @@ def test_efie_grid_refinement_cauchy(efie_op, mie):
     vals = []
     for n in (8, 10, 12, 14):
         op = efie_op(n)
-        x = physics.project_current(mie[0], op)
+        x = op.grid.project(op.grid.sample(mie[0]))
         vals.append(op.cartesian_current(op.apply(x))[0, 0])
     d1, d2, d3 = (np.linalg.norm(vals[i + 1] - vals[i]) for i in range(3))
     assert d2 < 0.6 * d1
@@ -401,10 +358,10 @@ def test_shared_edge_contour_term_cancels(sphere, medium):
     g = _Grid(sphere, n, "closed")
 
     vec = np.empty((6, n * n, 3), dtype=complex)
-    for p, d in enumerate(g.data):
+    for p, (pts, normal) in enumerate(zip(g.frames.point, g.frames.normal)):
         e_inc = np.zeros((n * n, 3), dtype=complex)
-        e_inc[:, 0] = np.exp(1j * k * d.point[:, 2])
-        vec[p] = np.cross(d.normal, e_inc)
+        e_inc[:, 0] = np.exp(1j * k * pts[:, 2])
+        vec[p] = np.cross(normal, e_inc)
     full = g.expand(g.compress(g.full_from_cartesian(vec)))
     grids = topology.full_to_grids(full, 6, n)
 
@@ -465,13 +422,13 @@ def test_mfie_linearity(mfie_open_8):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
     y = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
-    lhs = mfie_forward(1.5 * x - 2j * y, op)
-    rhs = 1.5 * mfie_forward(x, op) - 2j * mfie_forward(y, op)
+    lhs = op.apply(1.5 * x - 2j * y)
+    rhs = 1.5 * op.apply(x) - 2j * op.apply(y)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_mfie_zero_density(mfie_open_8):
-    out = mfie_forward(np.zeros(mfie_open_8.n_unknowns, complex), mfie_open_8)
+    out = mfie_open_8.apply(np.zeros(mfie_open_8.n_unknowns, complex))
     assert np.linalg.norm(out) == 0.0
 
 
@@ -480,8 +437,8 @@ def test_mfie_output_tangency(mfie_open_8):
     rng = np.random.default_rng(6)
     x = rng.standard_normal(op.n_unknowns) + 1j * rng.standard_normal(op.n_unknowns)
     cart = op.cartesian_current(op.apply(x))
-    for p, d in enumerate(op.grid.data):
-        dots = np.abs(np.einsum("sc,sc->s", cart[p], d.normal.astype(complex)))
+    for p, normal in enumerate(op.grid.frames.normal):
+        dots = np.abs(np.einsum("sc,sc->s", cart[p], normal.astype(complex)))
         mags = np.linalg.norm(cart[p], axis=1)
         assert np.all(dots < 1e-10 * mags)
 
@@ -497,15 +454,36 @@ def test_mfie_materialized_matches_chunked(sphere, medium):
     assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
 
+def test_closed_mfie_rcs_is_unit_free():
+    """Sphere and wavelength scaled by 1e4 give the same RCS / lambda^2.
+
+    At that scale most coincident node pairs of the closed grid sit about
+    2e-12 apart, so their plain-rule gradient values are huge: the corrected
+    blocks must replace them, since subtracting them from a corrected row
+    loses the digits of the row.
+    """
+    theta = np.radians([0.0, 90.0, 180.0])
+    rcs = []
+    for scale in (1.0, 1e4):
+        medium = MediumParams(2.0 * scale)  # wavelength equal to the diameter
+        op = MfieOperator(make_sphere(2.0 * scale), 5, medium, OperatorConfig(variant=CLOSED))
+        wave = physics.PlaneWave((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), medium)
+        rep = gmres(op.apply, op.rhs(lambda r: physics.plane_wave_hfield(wave, r)), 1e-10,
+                    restart=200, max_iter=200)
+        assert rep.converged
+        patt = physics.far_field(op.grid.expand(rep.solution), op.grid.surface,
+                                 np.stack([theta, np.zeros(3)], axis=1), medium)
+        rcs.append(patt.rcs / medium.wavelength**2)
+    # measured 1.0e-8, 1.4e-8 and 4.4e-8
+    np.testing.assert_allclose(rcs[1], rcs[0], rtol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # congruence reuse of fan and oversampled rows
 
 
 def _classes(surface, n=4):
-    nodes = spectral.cc_nodes(n)
-    table = _CongruentRows(_patch_data(surface, nodes), nodes,
-                           surface.patch_diameters(), K0, OperatorConfig())
-    return table.cls
+    return _CongruentRows(_Grid(surface, n, "open"), K0).cls
 
 
 def test_congruence_class_counts():
@@ -544,8 +522,7 @@ def sphere_mfie_4(sphere, medium):
 
 def _sampled_zone_pairs(op, count=24):
     g = op.grid
-    zones = _zone_pairs(g.target_points, g.data, g.diameters, g.n, op.config,
-                        g.on_patch_sets())
+    zones = _zone_pairs(g)
     rng = np.random.default_rng(11)
     return [[pairs[i] for i in rng.choice(len(pairs), count, replace=False)]
             for pairs in zones]
@@ -554,14 +531,14 @@ def _sampled_zone_pairs(op, count=24):
 def _direct_row(op, zone, t, p, kernel):
     g = op.grid
     x_t = g.target_points[t]
-    patch = g.data[p].patch
+    patch = g.surface.patches[p]
     if zone == 0:
         u0, v0, dist = nearest_preimage(patch, x_t)
         return weights_on_patch(patch, g.nodes, lambda pts, nrm: kernel(x_t, pts, op.k),
-                                (u0, v0), tol=op.config.quad_tol,
+                                (u0, v0), tol=_QUAD_TOL,
                                 peak=dist / (0.5 * g.diameters[p]))[0]
-    return _oversample_rows(g.data[p], lambda pts, nrm: kernel(x_t, pts, op.k),
-                            g.n, g.nodes, op.config)[0]
+    return _oversample_rows(lambda m: _fine_level(patch, m),
+                            lambda pts, nrm: kernel(x_t, pts, op.k), g.nodes)[0]
 
 
 def _assert_rows_close(got, want):
@@ -603,23 +580,25 @@ def test_build_stats_count_reuse(cube_efie_3, sphere_mfie_4):
 
 def _onpatch_direct(op, p, node, kernel, **kw):
     g = op.grid
-    patch = g.data[p].patch
+    patch = g.surface.patches[p]
     apex = (float(g.nodes[node // g.n]), float(g.nodes[node % g.n]))
     x_t = patch.point(np.array(apex[0]), np.array(apex[1]))
     return weights_on_patch(patch, g.nodes, lambda pts, nrm: kernel(x_t, pts, op.k),
-                            apex, tol=op.config.quad_tol, **kw)[0]
+                            apex, tol=_QUAD_TOL, **kw)[0]
 
 
 def test_efie_node_major_onpatch_rows_match_direct(cube_efie_3):
     op = cube_efie_3
-    s = op.grid.n**2
-    for p in range(op.grid.surface.n_patches):  # patch-major, no shared levels
-        for node in range(s):
-            _assert_rows_close(op.corrections[p].weights[node],
-                               _onpatch_direct(op, p, node, green))
-    single = precompute_singular(op.grid.surface.patches[5], op.k, op.grid.n, "closed", 5)
-    for node in range(s):
-        _assert_rows_close(single.weights[node], op.corrections[5].weights[node])
+    g = op.grid
+    s = g.n**2
+    for t, p, node in g.on_patch_pairs():  # direct rows share no fan levels
+        _assert_rows_close(op.S[t, p * s:(p + 1) * s], _onpatch_direct(op, p, node, green))
+    # one patch alone gets the same rows as all patches sharing fan levels
+    pairs = [pr for pr in g.on_patch_pairs() if pr[1] == 5]
+    single, _ = _onpatch_rows(
+        g, pairs, lambda t, x: lambda pts, nrm: green(x, pts, op.k))
+    for (t, p, _), row in zip(pairs, single):
+        _assert_rows_close(row, op.S[t, p * s:(p + 1) * s])
 
 
 def test_mfie_node_major_onpatch_rows_match_direct(sphere_mfie_4):
@@ -651,26 +630,27 @@ def test_grid_maps_match_per_patch_loops(cube_efie_3):
     grad = np.empty((m, s, 3), dtype=complex)
     du = np.einsum("ab,mbv->mav", g.diff, phi.reshape(m, n, n)).reshape(m, s)
     dv = np.einsum("ab,mub->mua", g.diff, phi.reshape(m, n, n)).reshape(m, s)
-    for p, d in enumerate(g.data):
-        gi = d.patch.frames(*(a.ravel() for a in np.meshgrid(g.nodes, g.nodes,
-                                                             indexing="ij"))).ginv
+    uu, vv = (a.ravel() for a in np.meshgrid(g.nodes, g.nodes, indexing="ij"))
+    node_frames = [patch.frames(uu, vv) for patch in g.surface.patches]
+    for p, fr in enumerate(node_frames):
+        gi = fr.ginv
         flat = grids[p].reshape(s, 2)
-        cart[p] = flat[:, 0, None] * d.a_u + flat[:, 1, None] * d.a_v
-        cu = np.einsum("sc,sc->s", vec[p], d.a_u)
-        cv = np.einsum("sc,sc->s", vec[p], d.a_v)
+        cart[p] = flat[:, 0, None] * fr.a_u + flat[:, 1, None] * fr.a_v
+        cu = np.einsum("sc,sc->s", vec[p], fr.a_u)
+        cv = np.einsum("sc,sc->s", vec[p], fr.a_v)
         contra[p] = np.stack([gi[:, 0, 0] * cu + gi[:, 0, 1] * cv,
                               gi[:, 1, 0] * cu + gi[:, 1, 1] * cv], axis=-1).reshape(n, n, 2)
         gu = gi[:, 0, 0] * du[p] + gi[:, 0, 1] * dv[p]
         gv = gi[:, 1, 0] * du[p] + gi[:, 1, 1] * dv[p]
-        grad[p] = gu[:, None] * d.a_u + gv[:, None] * d.a_v
+        grad[p] = gu[:, None] * fr.a_u + gv[:, None] * fr.a_v
     for got, want in ((g.cartesian_from_grids(grids), cart),
                       (g.full_from_cartesian(vec), topology.grids_to_full(contra)),
                       (g.surface_gradient(phi), grad)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     field = lambda pts: np.exp(1j * pts @ np.array([0.3, -1.2, 2.0]))[:, None] * pts
     sampled = g.sample(field)
-    for p, d in enumerate(g.data):
-        assert np.array_equal(sampled[p], field(d.point))
+    for p, fr in enumerate(node_frames):
+        assert np.array_equal(sampled[p], field(fr.point))
     assert np.array_equal(g.project(vec), g.compress(g.full_from_cartesian(vec)))
 
 
